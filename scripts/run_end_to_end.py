@@ -47,9 +47,9 @@ def main() -> int:
               f"potential {rec.potential_before:7.4f} -> {rec.potential_after:7.4f} "
               f"err={rec.train_err:.4f} retries={rec.retries_used}")
 
-    ok = theorem_bound_check(
-        result.records, dataset.m, math.log(dataset.m), config.rho
-    )
+    # the initial net's potential, as `selfieboost verify --suite bound` reads it
+    initial = result.records[0].potential_before if result.records else math.log(dataset.m)
+    ok = theorem_bound_check(result.records, dataset.m, initial, config.rho)
     print(f"recorded-run bound check: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

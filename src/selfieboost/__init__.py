@@ -34,7 +34,7 @@ from .baselines import (
     run_adaboost,
     run_plain_sgd,
 )
-from .data import Dataset, TeacherSpec, gen_realizable, load_csv, save_csv
+from .data import Dataset, gen_realizable, load_csv, save_csv
 from .nnet import (
     FeedForwardNet,
     GradientBuffer,

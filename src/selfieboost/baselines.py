@@ -22,11 +22,11 @@ from .nnet import (
     GradientBuffer,
     NetworkArchitecture,
     backprop_batch,
-    forward,
     forward_batch,
     init_network,
     net_from_dict,
     net_to_dict,
+    read_json,
     sgd_step,
 )
 from .sampling import SplitMix64, build_alias, chunked_sum, derive_seed, sample_indices
@@ -81,18 +81,16 @@ def _vote(scores: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(scores) > 0.0, 1.0, -1.0)
 
 
-def _hinge_sgd(
+def _hinge_steps(
+    net: FeedForwardNet,
     data: Dataset,
-    arch: NetworkArchitecture,
     steps: int,
     lr: float,
     batch: int,
-    init_scale: float,
-    seed: int,
-) -> FeedForwardNet:
-    """SGD on the linear hinge: gradient -y on examples with margin below 1."""
-    net = init_network(arch, derive_seed(seed, 0), init_scale)
-    rng = SplitMix64(derive_seed(seed, 1))
+    rng: SplitMix64,
+) -> None:
+    """``steps`` SGD updates of ``net`` in place on the linear hinge: gradient
+    -y on examples with margin below 1, minibatches drawn uniformly by ``rng``."""
     buf = GradientBuffer(net)
     m = data.m
     for _ in range(steps):
@@ -106,6 +104,20 @@ def _hinge_sgd(
             sgd_step(net, buf, lr)
         else:
             buf.zero()
+
+
+def _hinge_sgd(
+    data: Dataset,
+    arch: NetworkArchitecture,
+    steps: int,
+    lr: float,
+    batch: int,
+    init_scale: float,
+    seed: int,
+) -> FeedForwardNet:
+    """A freshly seeded net after ``steps`` hinge-SGD updates."""
+    net = init_network(arch, derive_seed(seed, 0), init_scale)
+    _hinge_steps(net, data, steps, lr, batch, SplitMix64(derive_seed(seed, 1)))
     return net
 
 
@@ -184,14 +196,8 @@ def _vote_sum_sign(total: np.ndarray) -> np.ndarray:
 
 
 def ensemble_predict(model: EnsembleModel, x: np.ndarray) -> int:
-    """Weighted-majority vote over the member networks; ties go to +1."""
-    if not model.members:
-        raise ValueError("empty ensemble")
-    total = sum(
-        alpha * float(_vote(np.array([forward(member, x)]))[0])
-        for member, alpha in zip(model.members, model.alphas)
-    )
-    return 1 if total >= 0.0 else -1
+    """Weighted-majority vote for one input vector; ties go to +1."""
+    return int(ensemble_predict_batch(model, np.asarray(x, dtype=np.float64)[None])[0])
 
 
 def ensemble_predict_batch(model: EnsembleModel, features: np.ndarray) -> np.ndarray:
@@ -243,29 +249,17 @@ def run_plain_sgd(
         raise ValueError("lr must be >= 0")
     net = init_network(arch, derive_seed(seed, 0), init_scale)
     rng = SplitMix64(derive_seed(seed, 1))
-    buf = GradientBuffer(net)
     every = max(1, steps // max(1, checkpoints))
-    trajectory: list[tuple[int, float]] = []
 
     def train_err() -> float:
         scores = forward_batch(net, data.features)
         return float(np.count_nonzero(data.labels * scores <= 0.0)) / data.m
 
-    trajectory.append((0, train_err()))
-    m = data.m
-    for step in range(1, steps + 1):
-        pick = np.minimum((rng.uniform_block(batch) * m).astype(np.int64), m - 1)
-        xb = data.features[pick]
-        yb = data.labels[pick]
-        scores = forward_batch(net, xb)
-        upstream = np.where(yb * scores < 1.0, -yb, 0.0) / batch
-        backprop_batch(net, xb, upstream, buf)
-        if lr > 0:
-            sgd_step(net, buf, lr)
-        else:
-            buf.zero()
-        if step % every == 0 or step == steps:
-            trajectory.append((step, train_err()))
+    trajectory = [(0, train_err())]
+    for start in range(0, steps, every):
+        stop = min(start + every, steps)
+        _hinge_steps(net, data, stop - start, lr, batch, rng)
+        trajectory.append((stop, train_err()))
     return PlainSgdResult(net=net, trajectory=tuple(trajectory))
 
 
@@ -280,14 +274,8 @@ def save_ensemble(model: EnsembleModel, path) -> None:
         fh.write("\n")
 
 
-def load_ensemble(path) -> EnsembleModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(
-                f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+def ensemble_from_dict(obj) -> EnsembleModel:
+    """Validate a parsed ensemble file; an ensemble needs at least one member."""
     if not isinstance(obj, dict):
         raise ModelFormatError("ensemble file must hold a JSON object")
     if obj.get("format_version") != ENSEMBLE_FORMAT_VERSION:
@@ -299,7 +287,13 @@ def load_ensemble(path) -> EnsembleModel:
     members = obj.get("members")
     if not isinstance(alphas, list) or not isinstance(members, list) or len(alphas) != len(members):
         raise ModelFormatError("fields 'alphas' and 'members' must be lists of equal length")
+    if not members:
+        raise ModelFormatError("ensemble has no members")
     nets = tuple(net_from_dict(member) for member in members)
     if len({net.architecture.input_dim for net in nets}) > 1:
         raise ShapeError("ensemble members disagree on input dimension")
     return EnsembleModel(members=nets, alphas=tuple(float(a) for a in alphas))
+
+
+def load_ensemble(path) -> EnsembleModel:
+    return ensemble_from_dict(read_json(path))

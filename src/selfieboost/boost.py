@@ -30,7 +30,6 @@ from .nnet import (
     widen,
 )
 from .sampling import (
-    AliasTable,
     SplitMix64,
     WeightTable,
     build_alias,
@@ -283,10 +282,6 @@ def edge(cache: MarginCache, candidate_scores: np.ndarray, rho: float = 0.1) -> 
     )
 
 
-def _draw_working_set(table: AliasTable, n: int, rng: SplitMix64) -> np.ndarray:
-    return sample_indices(table, n, rng)
-
-
 def _initial_net(arch: NetworkArchitecture, seed: int, init_scale: float) -> FeedForwardNet:
     """Initial network for a boosting run.
 
@@ -351,7 +346,7 @@ def run_selfieboost(
         adopted = None
         retries_used = 0
         for attempt in range(config.retry.max_retries + 1):
-            working_set = _draw_working_set(table, n, rng_sets)
+            working_set = sample_indices(table, n, rng_sets)
             candidate = net.copy()
             if cur_widen > 0:
                 candidate = widen(candidate, cur_widen, rng_widen.next_u64())

@@ -19,18 +19,14 @@ from . import baselines, boost, data as data_mod, verify
 from .boost import BoostConfig, IterationRecord, RetryPolicy, SgdParams, TrainResult
 from .errors import (
     ConfigError,
-    DatasetParseError,
     DegenerateTeacherError,
-    EmptyDatasetError,
-    ModelFormatError,
     NoWeakLearnerError,
     NumericError,
     SelfieBoostError,
     ShapeError,
-    UnsupportedArchitectureError,
     ValidationError,
 )
-from .nnet import NetworkArchitecture, net_from_dict, save_model
+from .nnet import NetworkArchitecture, net_from_dict, read_json, save_model
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -61,12 +57,12 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    algo: str
     data_path: str
-    out_model: str | None
-    metrics_path: str | None
-    threads: int
     boost: BoostConfig
+    algo: str = "selfieboost"
+    out_model: str | None = None
+    metrics_path: str | None = None
+    threads: int = 1
 
     def __post_init__(self):
         if self.algo not in ALGOS:
@@ -75,12 +71,37 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
 
 
-_TOP_KEYS = {
-    "algo", "data_path", "out_model", "metrics_path", "threads",
-    "seed", "rho", "T", "n", "init_scale", "hidden", "activation", "sgd", "retry",
+# Every flag that may also come from a config file:
+# (argparse dest, config key, config section or None for the top level).
+_CONFIG_FLAGS = (
+    ("algo", "algo", None),
+    ("data", "data_path", None),
+    ("out_model", "out_model", None),
+    ("metrics", "metrics_path", None),
+    ("threads", "threads", None),
+    ("seed", "seed", None),
+    ("rho", "rho", None),
+    ("T", "T", None),
+    ("n", "n", None),
+    ("init_scale", "init_scale", None),
+    ("hidden", "hidden", None),
+    ("activation", "activation", None),
+    ("sgd_steps", "steps", "sgd"),
+    ("lr", "lr", "sgd"),
+    ("batch", "batch", "sgd"),
+    ("max_retries", "max_retries", "retry"),
+    ("sgd_growth", "sgd_growth", "retry"),
+    ("widen_units", "widen_units", "retry"),
+    ("lr_shrink", "lr_shrink", "retry"),
+)
+_SECTIONS = ("sgd", "retry")
+# top-level keys that configure the run; all others configure BoostConfig
+_RUN_KEYS = ("algo", "data_path", "out_model", "metrics_path", "threads")
+_KEYS = {
+    section: {key for _, key, where in _CONFIG_FLAGS if where == section}
+    for section in (None, *_SECTIONS)
 }
-_SGD_KEYS = {"steps", "lr", "batch"}
-_RETRY_KEYS = {"max_retries", "sgd_growth", "widen_units", "lr_shrink"}
+_KEYS[None] |= set(_SECTIONS)
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -98,12 +119,12 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    _reject_unknown(obj, _TOP_KEYS, "config")
-    for section, keys in (("sgd", _SGD_KEYS), ("retry", _RETRY_KEYS)):
+    _reject_unknown(obj, _KEYS[None], "config")
+    for section in _SECTIONS:
         if section in obj:
             if not isinstance(obj[section], dict):
                 raise ConfigError(f"config key {section!r} must be an object")
-            _reject_unknown(obj[section], keys, section)
+            _reject_unknown(obj[section], _KEYS[section], section)
     return obj
 
 
@@ -112,53 +133,23 @@ def _build_experiment_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         doc = load_config_file(args.config)
     # flag overrides (only when the flag was actually given)
-    overrides = {
-        "algo": args.algo, "data_path": args.data, "out_model": args.out_model,
-        "metrics_path": args.metrics, "threads": args.threads, "seed": args.seed,
-        "rho": args.rho, "T": args.T, "n": args.n, "init_scale": args.init_scale,
-        "activation": args.activation,
-    }
-    for key, value in overrides.items():
+    for dest, key, section in _CONFIG_FLAGS:
+        value = getattr(args, dest)
         if value is not None:
-            doc[key] = value
-    if args.hidden is not None:
-        doc["hidden"] = _parse_widths(args.hidden)
-    sgd_over = {"steps": args.sgd_steps, "lr": args.lr, "batch": args.batch}
-    if any(v is not None for v in sgd_over.values()):
-        doc.setdefault("sgd", {})
-        doc["sgd"].update({k: v for k, v in sgd_over.items() if v is not None})
-    retry_over = {
-        "max_retries": args.max_retries, "sgd_growth": args.sgd_growth,
-        "widen_units": args.widen_units, "lr_shrink": args.lr_shrink,
-    }
-    if any(v is not None for v in retry_over.values()):
-        doc.setdefault("retry", {})
-        doc["retry"].update({k: v for k, v in retry_over.items() if v is not None})
+            if dest == "hidden":
+                value = _parse_widths(value)
+            (doc.setdefault(section, {}) if section else doc)[key] = value
 
     if "data_path" not in doc:
         raise ConfigError("a dataset is required (--data or config data_path)")
+    run = {key: doc.pop(key) for key in _RUN_KEYS if key in doc}
+    sgd, retry = doc.pop("sgd", {}), doc.pop("retry", {})
     try:
-        cfg = BoostConfig(
-            rho=doc.get("rho", 0.1),
-            T=doc.get("T", 50),
-            n=doc.get("n"),
-            sgd=SgdParams(**doc.get("sgd", {})),
-            retry=RetryPolicy(**doc.get("retry", {})),
-            seed=doc.get("seed", 0),
-            init_scale=doc.get("init_scale", 0.0),
-            hidden=tuple(doc.get("hidden", (32,))),
-            activation=doc.get("activation", "tanh"),
+        return ExperimentConfig(
+            **run, boost=BoostConfig(sgd=SgdParams(**sgd), retry=RetryPolicy(**retry), **doc)
         )
     except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        algo=doc.get("algo", "selfieboost"),
-        data_path=doc["data_path"],
-        out_model=doc.get("out_model"),
-        metrics_path=doc.get("metrics_path"),
-        threads=doc.get("threads", 1),
-        boost=cfg,
-    )
+        raise ConfigError(f"config value of the wrong type: {exc}") from exc
 
 
 def _parse_widths(text: str) -> tuple[int, ...]:
@@ -293,16 +284,10 @@ def _weak_config(cfg: BoostConfig) -> baselines.WeakLearnerConfig:
 
 def cmd_eval(args) -> int:
     dataset = data_mod.load_csv(args.data)
-    with open(args.model, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(
-                f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+    obj = read_json(args.model)
     if isinstance(obj, dict) and "members" in obj:
-        model = baselines.load_ensemble(args.model)
-        dim = model.members[0].architecture.input_dim if model.members else dataset.d
+        model = baselines.ensemble_from_dict(obj)
+        dim = model.members[0].architecture.input_dim
         if dim != dataset.d:
             raise ShapeError(f"model expects d={dim}, dataset has d={dataset.d}")
         e = baselines.ensemble_err(model, dataset)
@@ -338,7 +323,8 @@ def cmd_verify(args) -> int:
         if not args.metrics or args.m is None:
             raise ConfigError("the bound suite needs --metrics and --m")
         records = read_metrics_csv(args.metrics)
-        initial = args.initial_potential if args.initial_potential is not None else math.log(args.m)
+        # the first record's potential_before is the initial net's potential
+        initial = records[0].potential_before if records else math.log(args.m)
         bound_args = (records, args.m, initial, args.rho)
     reports = verify.run_suites(names, seed=args.seed, bound_args=bound_args)
     all_ok = True
@@ -439,7 +425,6 @@ def build_parser() -> _Parser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--metrics", help="metrics CSV for the bound suite")
     v.add_argument("--m", type=int, help="dataset size behind the metrics file")
-    v.add_argument("--initial-potential", type=float, help="potential of the initial net (default log m)")
     v.add_argument("--rho", type=float, default=0.1)
     v.set_defaults(func=cmd_verify)
 
@@ -471,15 +456,7 @@ def main(argv=None) -> int:
     except NoWeakLearnerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BREAK
-    except (
-        OSError,
-        ModelFormatError,
-        DatasetParseError,
-        ShapeError,
-        EmptyDatasetError,
-        UnsupportedArchitectureError,
-        SelfieBoostError,
-    ) as exc:
+    except (OSError, SelfieBoostError) as exc:  # every other package error is bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

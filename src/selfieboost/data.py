@@ -20,21 +20,9 @@ from .sampling import SplitMix64, derive_seed
 
 @dataclass(frozen=True)
 class DatasetProvenance:
-    teacher_path: Optional[str]
     margin_floor: float
     seed: int
     rejected: int = 0
-
-
-@dataclass(frozen=True)
-class TeacherSpec:
-    """How a labeling teacher was produced: architecture, seed, the rejection
-    dead zone, and the output rescale that lifts all margins to >= 1."""
-
-    architecture: NetworkArchitecture
-    seed: int
-    rejection_tau: float
-    output_rescale: float
 
 
 @dataclass
@@ -86,19 +74,18 @@ def gen_realizable(
         raise ValueError("tau must be > 0")
     if teacher_arch.input_dim != d:
         raise ValueError(f"teacher input_dim {teacher_arch.input_dim} != d {d}")
-    return realize(m, TeacherSpec(teacher_arch, seed, tau, output_rescale=1.0 / tau))
-
-
-def realize(m: int, spec: TeacherSpec) -> tuple[Dataset, FeedForwardNet]:
-    """Sample a dataset the teacher described by ``spec`` labels with margin >= 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    tau = spec.rejection_tau
-    if tau <= 0:
-        raise ValueError("rejection_tau must be > 0")
-    d = spec.architecture.input_dim
-    seed = spec.seed
-    teacher = init_network(spec.architecture, derive_seed(seed, 0), 1.0)
+    return realize(m, teacher_arch, tau, seed)
+
+
+def realize(
+    m: int, teacher_arch: NetworkArchitecture, tau: float, seed: int
+) -> tuple[Dataset, FeedForwardNet]:
+    """Rejection-sample ``m`` points for :func:`gen_realizable` (arguments
+    already validated) and rescale the teacher's output layer by ``1/tau``."""
+    d = teacher_arch.input_dim
+    teacher = init_network(teacher_arch, derive_seed(seed, 0), 1.0)
     rng = SplitMix64(derive_seed(seed, 1))
 
     features = np.empty((m, d))
@@ -121,15 +108,13 @@ def realize(m: int, spec: TeacherSpec) -> tuple[Dataset, FeedForwardNet]:
         labels[i] = 1.0 if raw > 0 else -1.0
 
     # lift every margin to >= 1 by scaling the output layer
-    teacher.weights[-1] *= spec.output_rescale
-    teacher.biases[-1] *= spec.output_rescale
+    teacher.weights[-1] *= 1.0 / tau
+    teacher.biases[-1] *= 1.0 / tau
     floor = float(np.min(labels * forward_batch(teacher, features)))
     dataset = Dataset(
         features,
         labels,
-        provenance=DatasetProvenance(
-            teacher_path=None, margin_floor=floor, seed=seed, rejected=attempts - m
-        ),
+        provenance=DatasetProvenance(margin_floor=floor, seed=seed, rejected=attempts - m),
     )
     return dataset, teacher
 
@@ -172,4 +157,7 @@ def load_csv(path) -> Dataset:
             raise DatasetParseError(f"{path}: row {r}: label must be -1 or 1, got {parts[-1]!r}")
         features[r - 2] = values[:-1]
         labels[r - 2] = values[-1]
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DatasetParseError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite feature")
     return Dataset(features, labels)

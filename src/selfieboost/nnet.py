@@ -398,13 +398,16 @@ def save_model(net: FeedForwardNet, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> FeedForwardNet:
+def read_json(path):
+    """Parse a model or ensemble file; malformed JSON raises :class:`ModelFormatError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return net_from_dict(obj)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelFormatError(
+                f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
+
+
+def load_model(path) -> FeedForwardNet:
+    return net_from_dict(read_json(path))

@@ -82,11 +82,11 @@ def derive_seed(seed: int, stream: int) -> int:
     return _mix64((seed + (stream + 1) * _GAMMA) & _MASK64)
 
 
-def chunked_sum(values: np.ndarray, chunk: int = CHUNK) -> float:
+def chunked_sum(values: np.ndarray) -> float:
     """Sum in fixed ascending chunks so the result is thread-count independent."""
     total = 0.0
-    for k in range(0, len(values), chunk):
-        total += float(np.add.reduce(values[k : k + chunk]))
+    for k in range(0, len(values), CHUNK):
+        total += float(np.add.reduce(values[k : k + CHUNK]))
     return total
 
 
@@ -108,13 +108,11 @@ def softmax(values: np.ndarray) -> np.ndarray:
 class WeightTable:
     """Example distribution proportional to ``exp(-margin)``.
 
-    ``log_weights`` holds the negated margins shifted by their max (so the
-    largest entry is 0), ``probs`` the normalized distribution, and
-    ``normalizer_log`` equals ``log(sum(exp(-margins)))``, which downstream
-    code uses as the log-sum-exp potential of the current network.
+    ``probs`` is the normalized distribution and ``normalizer_log`` equals
+    ``log(sum(exp(-margins)))``, which downstream code uses as the
+    log-sum-exp potential of the current network.
     """
 
-    log_weights: np.ndarray
     probs: np.ndarray
     normalizer_log: float
 
@@ -128,11 +126,9 @@ def weights_from_margins(margins: np.ndarray) -> WeightTable:
         raise NumericError("margins contain non-finite values")
     neg = -margins
     hi = float(np.max(neg))
-    log_weights = neg - hi
-    unnorm = np.exp(log_weights)
+    unnorm = np.exp(neg - hi)
     total = chunked_sum(unnorm)
     return WeightTable(
-        log_weights=log_weights,
         probs=unnorm / total,
         normalizer_log=hi + float(np.log(total)),
     )

@@ -27,6 +27,8 @@ from .sampling import SplitMix64, chunked_sum, derive_seed, logsumexp, softmax
 
 ALGEBRAIC_TOL = 1e-12  # identities
 CHAIN_TOL = 1e-9  # inequalities chained through log-sum-exp arithmetic
+LSE_MAX_DIM = 64  # largest vector length the lse suite draws
+GRAD_EPS = 1e-4  # finite-difference step of the grad suite
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,6 @@ def theorem_bound_check(
     m: int,
     initial_potential: float,
     rho: float,
-    tol: float = CHAIN_TOL,
 ) -> bool:
     """Check the recorded run against the convergence guarantee.
 
@@ -102,14 +103,14 @@ def theorem_bound_check(
     """
     _validate_records(records, m)
     for rec in records:
-        if not rec.potential_after <= rec.potential_before - rho + tol:
+        if not rec.potential_after <= rec.potential_before - rho + CHAIN_TOL:
             return False
     if not records:
         return True
     k = len(records)
     log_bound = initial_potential - rho * k
     bound = math.exp(log_bound) if log_bound < 700 else math.inf
-    return records[-1].mistakes <= bound + tol
+    return records[-1].mistakes <= bound + CHAIN_TOL
 
 
 def _validate_records(records: Sequence[IterationRecord], m: int) -> None:
@@ -134,7 +135,7 @@ def iteration_count_for(epsilon: float, rho: float) -> int:
 # randomized suites (used by the CLI and the acceptance gate)
 
 
-def lse_suite(pairs: int = 10_000, max_dim: int = 64, seed: int = 0) -> SuiteReport:
+def lse_suite(pairs: int = 10_000, seed: int = 0) -> SuiteReport:
     """Random (theta, lambda) pairs; every deficit must be >= -1e-9.
 
     Pairs are drawn with ``lambda = theta - u`` for ``u_i`` uniform in
@@ -147,7 +148,7 @@ def lse_suite(pairs: int = 10_000, max_dim: int = 64, seed: int = 0) -> SuiteRep
     rng = SplitMix64(derive_seed(seed, 11))
     worst = math.inf
     for _ in range(pairs):
-        dim = 1 + int(rng.uniform() * max_dim)
+        dim = 1 + int(rng.uniform() * LSE_MAX_DIM)
         scale = 10.0 ** (rng.uniform() * 2 - 1)  # 0.1 .. 10
         theta = rng.normal_block(dim) * scale
         u = rng.uniform_block(dim)  # theta - lambda in [0, 1]
@@ -193,7 +194,7 @@ def lemma_suite(trials: int = 100, seed: int = 0) -> SuiteReport:
     return SuiteReport("lemma", trials, worst, worst <= ALGEBRAIC_TOL)
 
 
-def grad_suite(trials_per_activation: int = 10, eps: float = 1e-4, seed: int = 0) -> SuiteReport:
+def grad_suite(trials_per_activation: int = 10, seed: int = 0) -> SuiteReport:
     """Random small nets per activation; max grad_check error must be <= 1e-6."""
     rng = SplitMix64(derive_seed(seed, 17))
     worst = 0.0
@@ -205,7 +206,7 @@ def grad_suite(trials_per_activation: int = 10, eps: float = 1e-4, seed: int = 0
             arch = NetworkArchitecture(d, (h,), activation)
             net = init_network(arch, rng.next_u64() & 0x7FFFFFFF, 1.0)
             x = rng.normal_block(d)
-            worst = max(worst, grad_check(net, x, eps))
+            worst = max(worst, grad_check(net, x, GRAD_EPS))
             count += 1
     return SuiteReport("grad", count, worst, worst <= 1e-6)
 

@@ -1,0 +1,58 @@
+"""The baselines' shared paths: one hinge-SGD loop, one ensemble vote."""
+
+import numpy as np
+import pytest
+
+from selfieboost.baselines import (
+    EnsembleModel,
+    _hinge_sgd,
+    ensemble_from_dict,
+    ensemble_predict,
+    ensemble_predict_batch,
+    run_plain_sgd,
+)
+from selfieboost.data import gen_realizable
+from selfieboost.errors import ModelFormatError, ShapeError
+from selfieboost.nnet import NetworkArchitecture, init_network
+from selfieboost.sampling import SplitMix64
+
+
+@pytest.fixture(scope="module")
+def data():
+    dataset, _ = gen_realizable(120, 4, NetworkArchitecture(4, (3,)), 0.1, 5)
+    return dataset
+
+
+def test_plain_sgd_net_equals_hinge_sgd_bitwise(data):
+    arch = NetworkArchitecture(4, (6,))
+    steps = 37  # checkpoints every 7 steps: the last segment is 2 steps long
+    plain = run_plain_sgd(data, arch, steps, 0.05, seed=8, batch=4, checkpoints=5)
+    single = _hinge_sgd(data, arch, steps, 0.05, 4, 1.0, 8)
+    assert [s for s, _ in plain.trajectory] == [0, 7, 14, 21, 28, 35, 37]
+    for a, b in zip(plain.net.weights + plain.net.biases, single.weights + single.biases):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def ensemble():
+    arch = NetworkArchitecture(3, (5,))
+    members = tuple(init_network(arch, seed, 1.0) for seed in range(7))
+    alphas = tuple(float(a) for a in SplitMix64(2).uniform_block(7) - 0.3)
+    return EnsembleModel(members=members, alphas=alphas)
+
+
+def test_scalar_prediction_equals_batch_rows(ensemble):
+    x = SplitMix64(4).normal_block(3 * 200).reshape(200, 3)
+    batch = ensemble_predict_batch(ensemble, x)
+    assert [ensemble_predict(ensemble, row) for row in x] == [int(v) for v in batch]
+
+
+@pytest.mark.parametrize("bad", [np.float64(1.0), np.zeros((1, 3))])
+def test_scalar_prediction_rejects_non_vectors(ensemble, bad):
+    with pytest.raises(ShapeError):
+        ensemble_predict(ensemble, bad)
+
+
+def test_empty_ensemble_is_format_error():
+    with pytest.raises(ModelFormatError):
+        ensemble_from_dict({"format_version": 1, "alphas": [], "members": []})

@@ -1,0 +1,67 @@
+"""Malformed inputs end with their documented exit code and one ``error:`` line,
+and the bound suite reads the initial potential from the metrics file."""
+
+import json
+import math
+
+import pytest
+
+from selfieboost.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, METRICS_HEADER, main
+
+TINY_CSV = "f0,f1,label\n0.5,1.0,1\n-0.5,-1.0,-1\n1.5,0.25,1\n"
+
+
+def assert_one_error_line(err: str) -> None:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def test_empty_ensemble_is_malformed_input(tmp_path, capsys):
+    (tmp_path / "d.csv").write_text(TINY_CSV)
+    (tmp_path / "ens.json").write_text('{"format_version":1,"alphas":[],"members":[]}')
+    code = main(["eval", "--model", str(tmp_path / "ens.json"), "--data", str(tmp_path / "d.csv")])
+    assert code == EXIT_IO
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_finite_feature_is_malformed_input(tmp_path, capsys, command, bad):
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_CSV.replace("-1.0,-1", f"{bad},-1"))
+    model = tmp_path / "teacher.json"
+    assert main([
+        "gen-data", "--m", "5", "--d", "2", "--seed", "1",
+        "--out", str(tmp_path / "g.csv"), "--teacher-out", str(model),
+    ]) == EXIT_OK
+    capsys.readouterr()
+    if command == "train":
+        argv = ["train", "--data", str(data), "--T", "1", "--hidden", "4"]
+    else:
+        argv = ["eval", "--model", str(model), "--data", str(data)]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "row 3" in err
+
+
+def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys):
+    (tmp_path / "d.csv").write_text(TINY_CSV)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data_path": str(tmp_path / "d.csv"), "threads": "2"}))
+    assert main(["train", "--config", str(cfg)]) == EXIT_USAGE
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_bound_suite_starts_from_recorded_potential(tmp_path, capsys):
+    # a start above log m: 95 mistakes exceed exp(log 100 - 0.1) but not
+    # exp(potential_before - 0.1)
+    before = math.log(100) + 2.0
+    row = [1, -0.2, before, before - 0.25, 0.95, 95, 0, 500, 32, 0.0]
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(METRICS_HEADER + "\n" + ",".join(repr(v) for v in row) + "\n")
+    code = main(["verify", "--suite", "bound", "--metrics", str(metrics),
+                 "--m", "100", "--rho", "0.1"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK and "PASS" in out
