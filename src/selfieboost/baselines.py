@@ -8,7 +8,6 @@ net only if its weighted error beats chance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -28,6 +27,7 @@ from .nnet import (
     net_to_dict,
     read_json,
     sgd_step,
+    write_json,
 )
 from .sampling import SplitMix64, build_alias, chunked_sum, derive_seed, sample_indices
 
@@ -264,14 +264,11 @@ def run_plain_sgd(
 
 
 def save_ensemble(model: EnsembleModel, path) -> None:
-    obj = {
+    write_json({
         "format_version": ENSEMBLE_FORMAT_VERSION,
         "alphas": list(model.alphas),
         "members": [net_to_dict(member) for member in model.members],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+    }, path)
 
 
 def ensemble_from_dict(obj) -> EnsembleModel:

@@ -111,6 +111,8 @@ class BoostConfig:
             NetworkArchitecture(1, self.hidden, self.activation)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.retry.widen_units > 0 and not self.hidden:
+            raise ConfigError("retry.widen_units needs a hidden layer to widen")
 
 
 @dataclass(frozen=True)

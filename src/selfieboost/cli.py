@@ -9,14 +9,15 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from . import baselines, boost, data as data_mod, verify
-from .boost import BoostConfig, IterationRecord, RetryPolicy, SgdParams, TrainResult
+from .boost import BoostConfig, IterationRecord, RetryPolicy, SgdParams
 from .errors import (
     ConfigError,
     DegenerateTeacherError,
@@ -26,7 +27,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .nnet import NetworkArchitecture, net_from_dict, read_json, save_model
+from .nnet import ACTIVATIONS, NetworkArchitecture, net_from_dict, read_json, save_model
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -35,6 +36,17 @@ EXIT_DEGENERATE = 3
 EXIT_BREAK = 4
 EXIT_NUMERIC = 5
 EXIT_USAGE = 64
+
+# First match wins: the specific package errors are also ValueErrors or
+# SelfieBoostErrors, so the catch-all rows come last.
+_EXIT_CODES = (
+    ((ConfigError, ValidationError), EXIT_USAGE),
+    (DegenerateTeacherError, EXIT_DEGENERATE),
+    (NumericError, EXIT_NUMERIC),
+    (NoWeakLearnerError, EXIT_BREAK),
+    ((OSError, SelfieBoostError), EXIT_IO),  # every other package error is bad input
+    (ValueError, EXIT_USAGE),  # argument validation raised by library entry points
+)
 
 METRICS_HEADER = (
     "t,edge,potential_before,potential_after,train_err,mistakes,"
@@ -71,34 +83,38 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
 
 
-# Every flag that may also come from a config file:
-# (argparse dest, config key, config section or None for the top level).
+# Every option that train and compare take both as a flag and from a config
+# file, in --help order: (argparse dest, type or choices, config key, config
+# section or None for the top level, help).  ``list`` marks the hidden widths:
+# comma separated as a flag, a JSON list of integers in a file.
 _CONFIG_FLAGS = (
-    ("algo", "algo", None),
-    ("data", "data_path", None),
-    ("out_model", "out_model", None),
-    ("metrics", "metrics_path", None),
-    ("threads", "threads", None),
-    ("seed", "seed", None),
-    ("rho", "rho", None),
-    ("T", "T", None),
-    ("n", "n", None),
-    ("init_scale", "init_scale", None),
-    ("hidden", "hidden", None),
-    ("activation", "activation", None),
-    ("sgd_steps", "steps", "sgd"),
-    ("lr", "lr", "sgd"),
-    ("batch", "batch", "sgd"),
-    ("max_retries", "max_retries", "retry"),
-    ("sgd_growth", "sgd_growth", "retry"),
-    ("widen_units", "widen_units", "retry"),
-    ("lr_shrink", "lr_shrink", "retry"),
+    ("data", str, "data_path", None, "dataset CSV path"),
+    ("out_model", str, "out_model", None, "where to write the trained model"),
+    ("metrics", str, "metrics_path", None, "where to write per-iteration metrics CSV"),
+    ("algo", ALGOS, "algo", None, "training algorithm (default selfieboost)"),
+    ("threads", int, "threads", None, "threads for full-dataset sweeps (default 1)"),
+    ("seed", int, "seed", None, "master seed; all randomness derives from it (default 0)"),
+    ("rho", float, "rho", None, "edge threshold in (0, 0.25) (default 0.1)"),
+    ("T", int, "T", None, "max boosting iterations (default 50)"),
+    ("n", int, "n", None, "working-set size (default min(m, 256))"),
+    ("init_scale", float, "init_scale", None, "init scale; 0 = zero net (default 0)"),
+    ("hidden", list, "hidden", None, "learner hidden widths, comma separated (default 32)"),
+    ("activation", ACTIVATIONS, "activation", None, "hidden activation (default tanh)"),
+    ("sgd_steps", int, "steps", "sgd", "inner SGD steps per attempt (default 500)"),
+    ("lr", float, "lr", "sgd", "inner SGD learning rate (default 0.05)"),
+    ("batch", int, "batch", "sgd", "inner SGD minibatch size (default 32)"),
+    ("max_retries", int, "max_retries", "retry", "retries per iteration (default 5)"),
+    ("sgd_growth", float, "sgd_growth", "retry", "step multiplier per retry (default 2)"),
+    ("widen_units", int, "widen_units", "retry", "units added per retry (default 0)"),
+    ("lr_shrink", float, "lr_shrink", "retry", "lr multiplier after clip violations (default 0.5)"),
 )
 _SECTIONS = ("sgd", "retry")
+_NULLABLE = ("n", "out_model", "metrics_path")  # null means the default: min(m, 256), no file
+_TYPE_NAMES = {int: "an integer", float: "a number", list: "a list of integers"}
 # top-level keys that configure the run; all others configure BoostConfig
-_RUN_KEYS = ("algo", "data_path", "out_model", "metrics_path", "threads")
+_RUN_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "boost")
 _KEYS = {
-    section: {key for _, key, where in _CONFIG_FLAGS if where == section}
+    section: {key for _, _, key, where, _ in _CONFIG_FLAGS if where == section}
     for section in (None, *_SECTIONS)
 }
 _KEYS[None] |= set(_SECTIONS)
@@ -110,8 +126,21 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
+def _has_type(value, kind, nullable: bool = False) -> bool:
+    """A JSON value fits a type column; a bool is never a number."""
+    if value is None:
+        return nullable
+    if kind is list:
+        return isinstance(value, list) and all(_has_type(v, int) for v in value)
+    if kind is float:
+        kind = (int, float)
+    elif kind is not int:
+        kind = str  # a path or one of the choices
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def load_config_file(path: str) -> dict:
-    """Parse a config JSON document, rejecting any unknown key."""
+    """Parse a config JSON document, rejecting any unknown key or wrongly typed value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -125,18 +154,22 @@ def load_config_file(path: str) -> dict:
             if not isinstance(obj[section], dict):
                 raise ConfigError(f"config key {section!r} must be an object")
             _reject_unknown(obj[section], _KEYS[section], section)
+    for _, kind, key, section, _ in _CONFIG_FLAGS:
+        values = obj.get(section, {}) if section else obj
+        if key in values and not _has_type(values[key], kind, key in _NULLABLE):
+            name = f"{section}.{key}" if section else key
+            what = _TYPE_NAMES.get(kind, "a string")
+            raise ConfigError(f"config key {name!r} must be {what}, got {values[key]!r}")
     return obj
 
 
 def _build_experiment_config(args) -> ExperimentConfig:
-    doc: dict = {}
-    if getattr(args, "config", None):
-        doc = load_config_file(args.config)
+    doc = load_config_file(args.config) if args.config else {}
     # flag overrides (only when the flag was actually given)
-    for dest, key, section in _CONFIG_FLAGS:
+    for dest, kind, key, section, _ in _CONFIG_FLAGS:
         value = getattr(args, dest)
         if value is not None:
-            if dest == "hidden":
+            if kind is list:
                 value = _parse_widths(value)
             (doc.setdefault(section, {}) if section else doc)[key] = value
 
@@ -144,12 +177,9 @@ def _build_experiment_config(args) -> ExperimentConfig:
         raise ConfigError("a dataset is required (--data or config data_path)")
     run = {key: doc.pop(key) for key in _RUN_KEYS if key in doc}
     sgd, retry = doc.pop("sgd", {}), doc.pop("retry", {})
-    try:
-        return ExperimentConfig(
-            **run, boost=BoostConfig(sgd=SgdParams(**sgd), retry=RetryPolicy(**retry), **doc)
-        )
-    except TypeError as exc:
-        raise ConfigError(f"config value of the wrong type: {exc}") from exc
+    return ExperimentConfig(
+        **run, boost=BoostConfig(sgd=SgdParams(**sgd), retry=RetryPolicy(**retry), **doc)
+    )
 
 
 def _parse_widths(text: str) -> tuple[int, ...]:
@@ -166,15 +196,18 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_metrics_csv(path: str, result: TrainResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for r in result.records:
-            fh.write(
-                f"{r.t},{_fmt(r.edge)},{_fmt(r.potential_before)},{_fmt(r.potential_after)},"
-                f"{_fmt(r.train_err)},{r.mistakes},{r.retries_used},{r.sgd_steps_used},"
-                f"{r.widened_to},{_fmt(r.wall_ms)}\n"
-            )
+def _write_csv(path: str | None, header: str, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path``, or to stdout when no path is given.
+
+    Floats keep full round-trip precision; every other value is written with ``str``.
+    """
+    with (
+        open(path, "w", encoding="utf-8", newline="\n") if path
+        else contextlib.nullcontext(sys.stdout)
+    ) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def read_metrics_csv(path: str) -> list[IterationRecord]:
@@ -182,21 +215,16 @@ def read_metrics_csv(path: str) -> list[IterationRecord]:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != METRICS_HEADER:
         raise ValidationError(f"{path}: expected metrics header {METRICS_HEADER!r}")
+    types = [int if f.type == "int" else float for f in fields(IterationRecord)]
     records = []
     for row, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != 10:
-            raise ValidationError(f"{path}: row {row} has {len(parts)} fields, expected 10")
-        try:
-            records.append(
-                IterationRecord(
-                    t=int(parts[0]), edge=float(parts[1]),
-                    potential_before=float(parts[2]), potential_after=float(parts[3]),
-                    train_err=float(parts[4]), mistakes=int(parts[5]),
-                    retries_used=int(parts[6]), sgd_steps_used=int(parts[7]),
-                    widened_to=int(parts[8]), wall_ms=float(parts[9]),
-                )
+        if len(parts) != len(types):
+            raise ValidationError(
+                f"{path}: row {row} has {len(parts)} fields, expected {len(types)}"
             )
+        try:
+            records.append(IterationRecord(*(kind(part) for kind, part in zip(types, parts))))
         except ValueError as exc:
             raise ValidationError(f"{path}: row {row}: {exc}") from exc
     return records
@@ -226,7 +254,7 @@ def cmd_train(args) -> int:
             dataset, cfg.boost, threads=cfg.threads, measure_time=args.wall_clock
         )
         if cfg.metrics_path:
-            write_metrics_csv(cfg.metrics_path, result)
+            _write_csv(cfg.metrics_path, METRICS_HEADER, map(astuple, result.records))
         if cfg.out_model:
             save_model(result.final_net, cfg.out_model)
         final_err = boost.err(result.final_net, dataset)
@@ -239,10 +267,8 @@ def cmd_train(args) -> int:
         weak = _weak_config(cfg.boost)
         result = baselines.run_adaboost(dataset, weak, cfg.boost.T, cfg.boost.seed)
         if cfg.metrics_path:
-            with open(cfg.metrics_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(ADABOOST_HEADER + "\n")
-                for t, rnd in enumerate(result.rounds, start=1):
-                    fh.write(f"{t},{_fmt(rnd.eps)},{_fmt(rnd.alpha)},{_fmt(rnd.ensemble_err)}\n")
+            rows = ((t, *astuple(rnd)) for t, rnd in enumerate(result.rounds, start=1))
+            _write_csv(cfg.metrics_path, ADABOOST_HEADER, rows)
         if cfg.out_model:
             baselines.save_ensemble(result.model, cfg.out_model)
         final_err = baselines.ensemble_err(result.model, dataset)
@@ -255,10 +281,7 @@ def cmd_train(args) -> int:
         batch=cfg.boost.sgd.batch, init_scale=cfg.boost.init_scale,
     )
     if cfg.metrics_path:
-        with open(cfg.metrics_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(SGD_HEADER + "\n")
-            for step, train_err in result.trajectory:
-                fh.write(f"{step},{_fmt(train_err)}\n")
+        _write_csv(cfg.metrics_path, SGD_HEADER, result.trajectory)
     if cfg.out_model:
         save_model(result.net, cfg.out_model)
     print(f"steps={cfg.boost.sgd.steps} final_err={_fmt(result.trajectory[-1][1])}")
@@ -285,11 +308,12 @@ def _weak_config(cfg: BoostConfig) -> baselines.WeakLearnerConfig:
 def cmd_eval(args) -> int:
     dataset = data_mod.load_csv(args.data)
     obj = read_json(args.model)
-    if isinstance(obj, dict) and "members" in obj:
-        model = baselines.ensemble_from_dict(obj)
-        dim = model.members[0].architecture.input_dim
-        if dim != dataset.d:
-            raise ShapeError(f"model expects d={dim}, dataset has d={dataset.d}")
+    ensemble = isinstance(obj, dict) and "members" in obj
+    model = baselines.ensemble_from_dict(obj) if ensemble else net_from_dict(obj)
+    dim = (model.members[0] if ensemble else model).architecture.input_dim
+    if dim != dataset.d:
+        raise ShapeError(f"model expects d={dim}, dataset has d={dataset.d}")
+    if ensemble:
         e = baselines.ensemble_err(model, dataset)
         report = baselines.cost(model)
         print(
@@ -298,35 +322,29 @@ def cmd_eval(args) -> int:
             f"params_evaluated={report.total_params_evaluated}"
         )
         return EXIT_OK
-    net = net_from_dict(obj)
-    if net.architecture.input_dim != dataset.d:
-        raise ShapeError(
-            f"model expects d={net.architecture.input_dim}, dataset has d={dataset.d}"
-        )
-    cache = boost.margins(net, dataset)
+    cache = boost.margins(model, dataset)
     n_wrong = boost.mistakes_from_margins(cache.margins)
     print(
         f"err={_fmt(n_wrong / dataset.m)} mistakes={n_wrong} "
         f"potential={_fmt(cache.potential)} evals_per_prediction=1 "
-        f"params_evaluated={net.param_count}"
+        f"params_evaluated={model.param_count}"
     )
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "all":
-        names = ["lse", "lemma", "grad"] + (["bound"] if args.metrics else [])
-    else:
-        names = [args.suite]
-    bound_args = None
+    suites = {"lse": verify.lse_suite, "lemma": verify.lemma_suite, "grad": verify.grad_suite}
+    names = [*suites, *(["bound"] if args.metrics else [])] if args.suite == "all" else [args.suite]
     if "bound" in names:
         if not args.metrics or args.m is None:
             raise ConfigError("the bound suite needs --metrics and --m")
+        if args.m < 1:
+            raise ConfigError(f"--m must be >= 1, got {args.m}")
         records = read_metrics_csv(args.metrics)
         # the first record's potential_before is the initial net's potential
         initial = records[0].potential_before if records else math.log(args.m)
-        bound_args = (records, args.m, initial, args.rho)
-    reports = verify.run_suites(names, seed=args.seed, bound_args=bound_args)
+        suites["bound"] = lambda seed: verify.bound_suite(records, args.m, initial, args.rho)
+    reports = [suites[name](seed=args.seed) for name in names]
     all_ok = True
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -348,20 +366,12 @@ def cmd_compare(args) -> int:
     ada = baselines.run_adaboost(dataset, _weak_config(cfg.boost), cfg.boost.T, cfg.boost.seed)
     ada_ms = (time.perf_counter() - t0) * 1000.0 if args.wall_clock else 0.0
     ada_err = baselines.ensemble_err(ada.model, dataset)
-    ada_cost = baselines.cost(ada.model)
+    ada_evals = baselines.cost(ada.model).network_evals_per_prediction
 
-    lines = [
-        COMPARE_HEADER,
-        f"selfieboost,{_fmt(sb_err)},{sb.accepted_count},1,{_fmt(sb_ms)}",
-        f"adaboost,{_fmt(ada_err)},{len(ada.model.members)},"
-        f"{ada_cost.network_evals_per_prediction},{_fmt(ada_ms)}",
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(args.out, COMPARE_HEADER, [
+        ("selfieboost", sb_err, sb.accepted_count, 1, sb_ms),
+        ("adaboost", ada_err, len(ada.model.members), ada_evals, ada_ms),
+    ])
     return EXIT_OK
 
 
@@ -371,25 +381,12 @@ def cmd_compare(args) -> int:
 
 def _add_config_flags(p: _Parser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--data", help="dataset CSV path")
-    p.add_argument("--out-model", help="where to write the trained model")
-    p.add_argument("--metrics", help="where to write per-iteration metrics CSV")
-    p.add_argument("--algo", choices=ALGOS, help="training algorithm (default selfieboost)")
-    p.add_argument("--threads", type=int, help="threads for full-dataset sweeps (default 1)")
-    p.add_argument("--seed", type=int, help="master seed; all randomness derives from it (default 0)")
-    p.add_argument("--rho", type=float, help="edge threshold in (0, 0.25) (default 0.1)")
-    p.add_argument("--T", type=int, help="max boosting iterations (default 50)")
-    p.add_argument("--n", type=int, help="working-set size (default min(m, 256))")
-    p.add_argument("--init-scale", type=float, help="init scale; 0 = zero net (default 0)")
-    p.add_argument("--hidden", help="learner hidden widths, comma separated (default 32)")
-    p.add_argument("--activation", choices=("tanh", "relu"), help="hidden activation (default tanh)")
-    p.add_argument("--sgd-steps", type=int, help="inner SGD steps per attempt (default 500)")
-    p.add_argument("--lr", type=float, help="inner SGD learning rate (default 0.05)")
-    p.add_argument("--batch", type=int, help="inner SGD minibatch size (default 32)")
-    p.add_argument("--max-retries", type=int, help="retries per iteration (default 5)")
-    p.add_argument("--sgd-growth", type=float, help="step multiplier per retry (default 2)")
-    p.add_argument("--widen-units", type=int, help="units added per retry (default 0)")
-    p.add_argument("--lr-shrink", type=float, help="lr multiplier after clip violations (default 0.5)")
+    for dest, kind, _, _, text in _CONFIG_FLAGS:
+        p.add_argument(
+            "--" + dest.replace("_", "-"), help=text,
+            type=kind if kind in (int, float) else None,
+            choices=kind if isinstance(kind, tuple) else None,
+        )
     p.add_argument(
         "--wall-clock", action="store_true",
         help="record real wall times (makes outputs non-reproducible byte-for-byte)",
@@ -408,7 +405,7 @@ def build_parser() -> _Parser:
     g.add_argument("--teacher-out", required=True, help="teacher model JSON to write")
     g.add_argument("--tau", type=float, default=0.1, help="teacher rejection dead zone (default 0.1)")
     g.add_argument("--teacher-hidden", default="4", help="teacher hidden widths (default 4)")
-    g.add_argument("--teacher-activation", choices=("tanh", "relu"), default="tanh")
+    g.add_argument("--teacher-activation", choices=ACTIVATIONS, default="tanh")
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model and write metrics")
@@ -444,25 +441,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    except (OSError, ValueError, SelfieBoostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegenerateTeacherError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except NoWeakLearnerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BREAK
-    except (OSError, SelfieBoostError) as exc:  # every other package error is bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        # argument validation raised by library entry points
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 def console_main() -> None:

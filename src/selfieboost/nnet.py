@@ -392,9 +392,14 @@ def net_from_dict(obj: dict) -> FeedForwardNet:
 
 
 def save_model(net: FeedForwardNet, path) -> None:
-    """Write the model JSON; floats keep full round-trip precision."""
+    """Write the model JSON."""
+    write_json(net_to_dict(net), path)
+
+
+def write_json(obj, path) -> None:
+    """Write a model or ensemble file; floats keep full round-trip precision."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(net_to_dict(net), fh)
+        json.dump(obj, fh)
         fh.write("\n")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -229,25 +229,3 @@ def bound_suite(
     if not records:
         worst = 0.0
     return SuiteReport("bound", len(records), worst, ok and worst <= CHAIN_TOL)
-
-
-def run_suites(
-    names: Iterable[str],
-    seed: int = 0,
-    bound_args: tuple[Sequence[IterationRecord], int, float, float] | None = None,
-) -> list[SuiteReport]:
-    reports = []
-    for name in names:
-        if name == "lse":
-            reports.append(lse_suite(seed=seed))
-        elif name == "lemma":
-            reports.append(lemma_suite(seed=seed))
-        elif name == "grad":
-            reports.append(grad_suite(seed=seed))
-        elif name == "bound":
-            if bound_args is None:
-                raise ValidationError("bound suite needs a metrics file")
-            reports.append(bound_suite(*bound_args))
-        else:
-            raise ValidationError(f"unknown suite {name!r}")
-    return reports

@@ -46,12 +46,48 @@ def test_non_finite_feature_is_malformed_input(tmp_path, capsys, command, bad):
     assert "row 3" in err
 
 
-def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("entry", [
+    {"threads": "2"},
+    {"hidden": "32"},
+    {"hidden": [2.7]},
+    {"seed": 1.5},
+    {"threads": 1.5},
+    {"n": 2.5},
+    {"retry": {"widen_units": 1.5}},
+    {"retry": {"max_retries": 1.5}},
+    {"T": True},
+    {"seed": None},
+], ids=[
+    "threads-string", "hidden-string", "hidden-float", "seed-float", "threads-float",
+    "n-float", "widen_units-float", "max_retries-float", "T-bool", "seed-null",
+])
+def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, entry):
     (tmp_path / "d.csv").write_text(TINY_CSV)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"data_path": str(tmp_path / "d.csv"), "threads": "2"}))
+    cfg.write_text(json.dumps({"data_path": str(tmp_path / "d.csv"), **entry}))
     assert main(["train", "--config", str(cfg)]) == EXIT_USAGE
     assert_one_error_line(capsys.readouterr().err)
+
+
+def test_widening_without_hidden_layer_is_rejected_before_work(tmp_path, capsys):
+    (tmp_path / "d.csv").write_text(TINY_CSV)
+    metrics = tmp_path / "m.csv"
+    code = main(["train", "--data", str(tmp_path / "d.csv"), "--metrics", str(metrics),
+                 "--hidden", "", "--widen-units", "4", "--T", "3", "--sgd-steps", "1"])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert_one_error_line(err)
+    assert "widen_units" in err and out == "" and not metrics.exists()
+
+
+def test_bound_suite_rejects_m_below_one(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(METRICS_HEADER + "\n")
+    code = main(["verify", "--suite", "bound", "--metrics", str(metrics), "--m", "0"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "--m" in err
 
 
 def test_bound_suite_starts_from_recorded_potential(tmp_path, capsys):
