@@ -9,6 +9,7 @@ net only if its weighted error beats chance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -286,6 +287,9 @@ def ensemble_from_dict(obj) -> EnsembleModel:
         raise ModelFormatError("fields 'alphas' and 'members' must be lists of equal length")
     if not members:
         raise ModelFormatError("ensemble has no members")
+    for i, a in enumerate(alphas):
+        if isinstance(a, bool) or not isinstance(a, (int, float)) or not abs(a) <= sys.float_info.max:
+            raise ModelFormatError(f"alpha {i} must be a finite number, got {a!r}")
     nets = tuple(net_from_dict(member) for member in members)
     if len({net.architecture.input_dim for net in nets}) > 1:
         raise ShapeError("ensemble members disagree on input dimension")

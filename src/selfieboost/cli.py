@@ -83,10 +83,11 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
 
 
-# Every option that train and compare take both as a flag and from a config
-# file, in --help order: (argparse dest, type or choices, config key, config
-# section or None for the top level, help).  ``list`` marks the hidden widths:
-# comma separated as a flag, a JSON list of integers in a file.
+# Every option that train takes both as a flag and from a config file, in
+# --help order: (argparse dest, type or choices, config key, config section or
+# None for the top level, help).  ``list`` marks the hidden widths: comma
+# separated as a flag, a JSON list of integers in a file.  compare has no flag
+# for out_model, metrics or algo, and ignores their keys in a config file.
 _CONFIG_FLAGS = (
     ("data", str, "data_path", None, "dataset CSV path"),
     ("out_model", str, "out_model", None, "where to write the trained model"),
@@ -167,7 +168,7 @@ def _build_experiment_config(args) -> ExperimentConfig:
     doc = load_config_file(args.config) if args.config else {}
     # flag overrides (only when the flag was actually given)
     for dest, kind, key, section, _ in _CONFIG_FLAGS:
-        value = getattr(args, dest)
+        value = getattr(args, dest, None)  # compare has no train-only flags
         if value is not None:
             if kind is list:
                 value = _parse_widths(value)
@@ -379,14 +380,15 @@ def cmd_compare(args) -> int:
 # parser
 
 
-def _add_config_flags(p: _Parser) -> None:
+def _add_config_flags(p: _Parser, skip: tuple[str, ...] = ()) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     for dest, kind, _, _, text in _CONFIG_FLAGS:
-        p.add_argument(
-            "--" + dest.replace("_", "-"), help=text,
-            type=kind if kind in (int, float) else None,
-            choices=kind if isinstance(kind, tuple) else None,
-        )
+        if dest not in skip:
+            p.add_argument(
+                "--" + dest.replace("_", "-"), help=text,
+                type=kind if kind in (int, float) else None,
+                choices=kind if isinstance(kind, tuple) else None,
+            )
     p.add_argument(
         "--wall-clock", action="store_true",
         help="record real wall times (makes outputs non-reproducible byte-for-byte)",
@@ -426,7 +428,7 @@ def build_parser() -> _Parser:
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("compare", help="selfieboost vs adaboost on one dataset and budget")
-    _add_config_flags(c)
+    _add_config_flags(c, skip=("out_model", "metrics", "algo"))
     c.add_argument("--out", help="write the comparison CSV here instead of stdout")
     c.set_defaults(func=cmd_compare)
 

@@ -29,11 +29,14 @@ from .sampling import SplitMix64
 ACTIVATIONS = ("tanh", "relu")
 MODEL_FORMAT_VERSION = 1
 
-# Inner products are reduced in fixed 64-wide blocks, each padded to a
-# multiple of 8, combined left to right.  numpy then reduces every block with
-# the same fixed accumulator structure, so appending zero-weight columns
-# (widening) or slicing rows (threaded sweeps) cannot reshuffle any sum.
+# Inner products are zero-padded to a multiple of 8 columns and reduced in
+# fixed 64-wide blocks, summed left to right from the first.  numpy then
+# reduces every block with the same fixed accumulator structure, so appending
+# zero-weight columns (widening) or cutting rows cannot reshuffle any sum.
+# Sweeps score fixed ``_ROWS``-row blocks, with or without threads, which
+# bounds their temporaries by one block per thread.
 _BLOCK = 64
+_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -138,18 +141,13 @@ def init_network(arch: NetworkArchitecture, seed: int, scale: float) -> FeedForw
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``x @ w.T + b`` with the fixed-structure reduction described above."""
-    fan_in = x.shape[1]
-    if fan_in <= _BLOCK and fan_in % 8 == 0:
-        return (x[:, None, :] * w[None, :, :]).sum(axis=2) + b
-    out = np.zeros((x.shape[0], w.shape[0]))
-    for k in range(0, fan_in, _BLOCK):
-        xc = x[:, k : k + _BLOCK]
-        wc = w[:, k : k + _BLOCK]
-        pad = (-xc.shape[1]) % 8
-        if pad:
-            xc = np.pad(xc, ((0, 0), (0, pad)))
-            wc = np.pad(wc, ((0, 0), (0, pad)))
-        out += (xc[:, None, :] * wc[None, :, :]).sum(axis=2)
+    pad = -x.shape[1] % 8
+    if pad:
+        x = np.concatenate([x, np.zeros((x.shape[0], pad))], axis=1)
+        w = np.concatenate([w, np.zeros((w.shape[0], pad))], axis=1)
+    out = (x[:, None, :_BLOCK] * w[None, :, :_BLOCK]).sum(axis=2)
+    for k in range(_BLOCK, x.shape[1], _BLOCK):
+        out += (x[:, None, k : k + _BLOCK] * w[None, :, k : k + _BLOCK]).sum(axis=2)
     return out + b
 
 
@@ -193,21 +191,16 @@ def _forward_cached(net: FeedForwardNet, x: np.ndarray):
 def forward_batch(net: FeedForwardNet, x: np.ndarray, threads: int = 1) -> np.ndarray:
     """Scores for every row of ``x``; row ``i`` equals ``forward(net, x[i])`` exactly.
 
-    With ``threads > 1`` rows are sharded across threads; per-row results are
-    reduction-independent, so the output is identical to the single-threaded run.
+    Rows are scored in ``_ROWS``-row blocks; with ``threads > 1`` the same
+    blocks are mapped over a thread pool, so the output never depends on it.
     """
     x = _check_batch(net, x)
-    m = x.shape[0]
-    if m == 0:
-        return np.zeros(0)
-    if threads > 1 and m >= 2 * threads:
-        bounds = [m * i // threads for i in range(threads + 1)]
+    blocks = [x[k : k + _ROWS] for k in range(0, x.shape[0], _ROWS)]
+    score = lambda xb: _forward_cached(net, xb)[0][-1][:, 0]
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda k: _forward_cached(net, x[bounds[k] : bounds[k + 1]])[0][-1], range(threads))
-            )
-        return np.concatenate(parts)[:, 0]
-    return _forward_cached(net, x)[0][-1][:, 0]
+            return np.concatenate([np.zeros(0), *pool.map(score, blocks)])
+    return np.concatenate([np.zeros(0), *map(score, blocks)])
 
 
 def forward(net: FeedForwardNet, x: np.ndarray) -> float:
@@ -290,13 +283,6 @@ def widen(net: FeedForwardNet, extra_units: int, seed: int) -> FeedForwardNet:
     return FeedForwardNet(architecture=new_arch, weights=weights, biases=biases)
 
 
-def _param_views(net: FeedForwardNet):
-    for i, w in enumerate(net.weights):
-        yield ("w", i, w)
-    for i, b in enumerate(net.biases):
-        yield ("b", i, b)
-
-
 def grad_check(net: FeedForwardNet, x: np.ndarray, eps: float) -> float:
     """Max relative error between backprop and central finite differences.
 
@@ -309,14 +295,11 @@ def grad_check(net: FeedForwardNet, x: np.ndarray, eps: float) -> float:
     x = np.asarray(x, dtype=np.float64)
     buf = GradientBuffer(net)
     backprop_scalar(net, x, 1.0, buf)
-    analytic = {("w", i): g for i, g in enumerate(buf.weights)}
-    analytic.update({("b", i): g for i, g in enumerate(buf.biases)})
 
     is_relu = net.architecture.activation == "relu"
     xb = x[None, :]
     worst = 0.0
-    for kind, i, arr in _param_views(net):
-        grads = analytic[(kind, i)]
+    for arr, grads in zip(net.weights + net.biases, buf.weights + buf.biases):
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + eps

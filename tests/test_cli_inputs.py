@@ -17,12 +17,30 @@ def assert_one_error_line(err: str) -> None:
     assert "Traceback" not in err
 
 
-def test_empty_ensemble_is_malformed_input(tmp_path, capsys):
+ONE_MEMBER = '"members":[{"format_version":1,"activation":"tanh","dims":[2,1],"layers":[{"w":[[1.0,0.0]],"b":[0.0]}]}]'
+
+
+@pytest.mark.parametrize("doc", [
+    '{"format_version":1,"alphas":[],"members":[]}',
+    '{"format_version":1,"alphas":[null],' + ONE_MEMBER + "}",
+    '{"format_version":1,"alphas":["x"],' + ONE_MEMBER + "}",
+    '{"format_version":1,"alphas":[true],' + ONE_MEMBER + "}",
+    '{"format_version":1,"alphas":[NaN],' + ONE_MEMBER + "}",
+], ids=["empty", "null", "string", "bool", "nan"])
+def test_empty_ensemble_is_malformed_input(tmp_path, capsys, doc):
     (tmp_path / "d.csv").write_text(TINY_CSV)
-    (tmp_path / "ens.json").write_text('{"format_version":1,"alphas":[],"members":[]}')
+    (tmp_path / "ens.json").write_text(doc)
     code = main(["eval", "--model", str(tmp_path / "ens.json"), "--data", str(tmp_path / "d.csv")])
     assert code == EXIT_IO
     assert_one_error_line(capsys.readouterr().err)
+
+
+def test_compare_rejects_train_only_flags(tmp_path, capsys):
+    (tmp_path / "d.csv").write_text(TINY_CSV)
+    argv = ["compare", "--data", str(tmp_path / "d.csv"), "--T", "1", "--metrics", str(tmp_path / "x.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert "--metrics" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

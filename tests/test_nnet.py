@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from selfieboost.errors import (
     UnsupportedArchitectureError,
 )
 from selfieboost.nnet import (
+    _ROWS,
     FeedForwardNet,
     GradientBuffer,
     NetworkArchitecture,
@@ -134,19 +136,32 @@ class TestForwardBatch:
         net = init_network(NetworkArchitecture(3, (2,)), 0, 1.0)
         assert forward_batch(net, np.zeros((0, 3))).shape == (0,)
 
-    def test_rows_equal_scalar_forward_bitwise(self):
-        net = init_network(NetworkArchitecture(6, (9,)), 5, 1.0)
-        X = SplitMix64(8).normal_block(50 * 6).reshape(50, 6)
+    @pytest.mark.parametrize("d", [6, 64, 130])
+    def test_rows_equal_scalar_forward_bitwise(self, d):
+        net = init_network(NetworkArchitecture(d, (9,)), 5, 1.0)
+        X = SplitMix64(8).normal_block(50 * d).reshape(50, d)
         batch = forward_batch(net, X)
         looped = np.array([forward(net, X[i]) for i in range(50)])
         np.testing.assert_array_equal(batch, looped)
 
-    def test_threaded_equals_single_threaded_bitwise(self):
+    @pytest.mark.parametrize("rows, threads", [(997, 4), (2 * _ROWS + 3, 2), (2 * _ROWS + 3, 4)])
+    def test_threaded_equals_single_threaded_bitwise(self, rows, threads):
         net = init_network(NetworkArchitecture(5, (13,)), 2, 1.0)
-        X = SplitMix64(4).normal_block(997 * 5).reshape(997, 5)
+        X = SplitMix64(4).normal_block(rows * 5).reshape(rows, 5)
         np.testing.assert_array_equal(
-            forward_batch(net, X, threads=4), forward_batch(net, X, threads=1)
+            forward_batch(net, X, threads=threads), forward_batch(net, X, threads=1)
         )
+
+    def test_sweep_memory_is_bounded_by_one_block(self):
+        net = init_network(NetworkArchitecture(10, (32,)), 3, 1.0)
+        X = SplitMix64(6).normal_block(20_000 * 10).reshape(20_000, 10)
+        tracemalloc.start()
+        try:
+            forward_batch(net, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"forward_batch peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestBackprop:
