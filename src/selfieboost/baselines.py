@@ -276,9 +276,10 @@ def ensemble_from_dict(obj) -> EnsembleModel:
     """Validate a parsed ensemble file; an ensemble needs at least one member."""
     if not isinstance(obj, dict):
         raise ModelFormatError("ensemble file must hold a JSON object")
-    if obj.get("format_version") != ENSEMBLE_FORMAT_VERSION:
+    version = obj.get("format_version")
+    if isinstance(version, bool) or version != ENSEMBLE_FORMAT_VERSION:
         raise ModelVersionError(
-            f"unsupported format_version {obj.get('format_version')!r}, "
+            f"unsupported format_version {version!r}, "
             f"expected {ENSEMBLE_FORMAT_VERSION}"
         )
     alphas = obj.get("alphas")

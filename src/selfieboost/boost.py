@@ -248,12 +248,12 @@ def sgd_inner(
         for _ in range(sgd_params.steps):
             pick = np.minimum((rng.uniform_block(batch) * n).astype(np.int64), n - 1)
             xb = feats[pick]
-            acts, preacts = _forward_cached(candidate, xb)
+            acts = _forward_cached(candidate, xb)
             scores = acts[-1][:, 0]
             if not np.all(np.isfinite(scores)):
                 raise NumericError("candidate scores became non-finite during SGD")
             grad = surrogate_output_grad(labels[pick], snap[pick], scores) / (batch * n)
-            _backprop_core(candidate, acts, preacts, grad, buf)
+            _backprop_core(candidate, acts, grad, buf)
             sgd_step(candidate, buf, sgd_params.lr)
     for w in candidate.weights:
         if not np.all(np.isfinite(w)):
@@ -333,8 +333,7 @@ def run_selfieboost(
 
     records: list[IterationRecord] = []
     stop_reason = STOP_COMPLETED
-    scores = forward_batch(net, data.features, threads)
-    cache = cache_from_scores(scores, data.labels)
+    cache = cache_from_scores(forward_batch(net, data.features, threads), data.labels)
 
     for t in range(1, config.T + 1):
         if mistakes_from_margins(cache.margins) == 0:
@@ -345,8 +344,6 @@ def run_selfieboost(
         cur_steps = config.sgd.steps
         cur_lr = config.sgd.lr
         cur_widen = 0
-        adopted = None
-        retries_used = 0
         for attempt in range(config.retry.max_retries + 1):
             working_set = sample_indices(table, n, rng_sets)
             candidate = net.copy()
@@ -357,7 +354,7 @@ def run_selfieboost(
                 sgd_inner(
                     data,
                     working_set,
-                    scores,
+                    cache.raw_scores,
                     candidate,
                     SgdParams(cur_steps, cur_lr, config.sgd.batch),
                     rng_sgd,
@@ -369,22 +366,19 @@ def run_selfieboost(
             except NumericError:
                 if attempt == config.retry.max_retries:
                     raise
-                report = None
             else:
                 if report.accepted:
-                    adopted = (candidate, candidate_scores, report)
-                    retries_used = attempt
                     break
                 violation = report.violation_count > 0
             cur_steps = int(np.ceil(cur_steps * config.retry.sgd_growth))
             if violation:
                 cur_lr *= config.retry.lr_shrink
             cur_widen += config.retry.widen_units
-        if adopted is None:
+        else:
             stop_reason = STOP_NO_CANDIDATE
             break
-        net, scores, report = adopted
-        new_cache = cache_from_scores(scores, data.labels)
+        net = candidate
+        new_cache = cache_from_scores(candidate_scores, data.labels)
         n_wrong = mistakes_from_margins(new_cache.margins)
         elapsed_ms = (time.perf_counter() - started) * 1000.0 if measure_time else 0.0
         records.append(
@@ -395,7 +389,7 @@ def run_selfieboost(
                 potential_after=new_cache.potential,
                 train_err=n_wrong / data.m,
                 mistakes=n_wrong,
-                retries_used=retries_used,
+                retries_used=attempt,
                 sgd_steps_used=cur_steps,
                 widened_to=net.architecture.hidden_layers[-1] if net.architecture.hidden_layers else 0,
                 wall_ms=elapsed_ms,

@@ -176,11 +176,7 @@ def build_alias(probs: np.ndarray) -> AliasTable:
             small.append(hi)
         else:
             large.append(hi)
-    # leftovers in either list are 1 up to rounding
-    for rest in (small, large):
-        for i in rest:
-            prob[i] = 1.0
-            alias[i] = i
+    # leftovers were never popped as ``lo``: they keep their initial prob 1, alias i
     return AliasTable(prob=prob, alias=alias)
 
 

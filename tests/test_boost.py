@@ -303,6 +303,24 @@ class TestRunSelfieboost:
         assert widths == sorted(widths)
         assert result.final_net.architecture.hidden_layers[-1] == widths[-1]
 
+    def test_retry_counters_follow_the_escalation(self, small_data):
+        cfg = BoostConfig(
+            rho=0.1, T=6, n=128, sgd=SgdParams(100, 0.05, 16),
+            retry=RetryPolicy(max_retries=5, sgd_growth=1.5, widen_units=4, lr_shrink=0.5),
+            seed=3, init_scale=0.0, hidden=(16,),
+        )
+        result = run_selfieboost(small_data[0], cfg)
+        assert result.accepted_count == 6
+        assert any(r.retries_used > 0 for r in result.records)
+        width = 16
+        for r in result.records:
+            steps = 100
+            for _ in range(r.retries_used):
+                steps = int(math.ceil(steps * 1.5))
+            assert r.sgd_steps_used == steps
+            assert r.widened_to == width + 4 * r.retries_used
+            width = r.widened_to
+
     def test_acceptance_soundness_replay(self, small_data, small_config):
         """Manually replay one iteration and recheck adoption with the oracle."""
         dataset, _ = small_data

@@ -18,6 +18,8 @@ def assert_one_error_line(err: str) -> None:
 
 
 ONE_MEMBER = '"members":[{"format_version":1,"activation":"tanh","dims":[2,1],"layers":[{"w":[[1.0,0.0]],"b":[0.0]}]}]'
+HUGE = "1" + "0" * 400  # an integer literal beyond the float64 range
+MODEL = '{"format_version":%s,"activation":"tanh","dims":[2,1],"layers":[{"w":[[%s,0.0]],"b":[0.0]}]}'
 
 
 @pytest.mark.parametrize("doc", [
@@ -26,7 +28,14 @@ ONE_MEMBER = '"members":[{"format_version":1,"activation":"tanh","dims":[2,1],"l
     '{"format_version":1,"alphas":["x"],' + ONE_MEMBER + "}",
     '{"format_version":1,"alphas":[true],' + ONE_MEMBER + "}",
     '{"format_version":1,"alphas":[NaN],' + ONE_MEMBER + "}",
-], ids=["empty", "null", "string", "bool", "nan"])
+    '{"format_version":1,"alphas":[1.0],"members":[' + MODEL % (1, HUGE) + "]}",
+    MODEL % (1, HUGE),
+    '{"format_version":true,"alphas":[1.0],' + ONE_MEMBER + "}",
+    MODEL % ("true", 1.0),
+], ids=[
+    "empty", "null", "string", "bool", "nan",
+    "member-overflow", "model-overflow", "ensemble-version-bool", "model-version-bool",
+])
 def test_empty_ensemble_is_malformed_input(tmp_path, capsys, doc):
     (tmp_path / "d.csv").write_text(TINY_CSV)
     (tmp_path / "ens.json").write_text(doc)

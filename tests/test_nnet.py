@@ -212,13 +212,16 @@ class TestGradCheck:
         net = make_linear([1.25, -0.5], 0.75)
         assert grad_check(net, np.array([0.5, 2.0]), 1e-4) <= 1e-10
 
-    def test_random_tanh_net(self):
-        net = init_network(NetworkArchitecture(5, (8,)), 123, 1.0)
+    # two hidden layers make backprop read a derivative below the first one
+    @pytest.mark.parametrize("hidden", [(8,), (7, 4)], ids=["8", "7-4"])
+    def test_random_tanh_net(self, hidden):
+        net = init_network(NetworkArchitecture(5, hidden), 123, 1.0)
         x = SplitMix64(77).normal_block(5)
         assert grad_check(net, x, 1e-4) <= 1e-6
 
-    def test_random_relu_net(self):
-        net = init_network(NetworkArchitecture(6, (10,), "relu"), 9, 1.0)
+    @pytest.mark.parametrize("hidden", [(10,), (7, 4)], ids=["10", "7-4"])
+    def test_random_relu_net(self, hidden):
+        net = init_network(NetworkArchitecture(6, hidden, "relu"), 9, 1.0)
         x = SplitMix64(13).normal_block(6)
         assert grad_check(net, x, 1e-4) <= 1e-6
 
