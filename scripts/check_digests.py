@@ -1,0 +1,72 @@
+"""Run a fixed set of CLI commands and print the sha256 of everything they write.
+
+Each command's exit code, stdout and stderr go to ``<name>.log`` in the work
+directory and are digested with the model, metrics and data files, so two
+checkouts that print the same lines behave byte-identically on this set.
+The commands run ``python -m selfieboost`` from whichever package the
+interpreter imports, e.g. ``PYTHONPATH=src``.
+
+Usage: python scripts/check_digests.py [workdir]   (an empty or new directory)
+"""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+README_TRAIN = "--hidden 32 --rho 0.1 --T 50 --n 256 --sgd-steps 500 --lr 0.05 --batch 32 --seed 42"
+
+COMMANDS = (
+    ("gen", "gen-data --m 2000 --d 10 --seed 42 --out data.csv --teacher-out teacher.json"),
+    ("gen8", "gen-data --m 2000 --d 10 --teacher-hidden 8 --seed 42 "
+             "--out data8.csv --teacher-out teacher8.json"),
+    ("train", f"train --data data.csv --out-model model.json --metrics metrics.csv {README_TRAIN}"),
+    # the perfbench ensemble workload
+    ("ada8", "train --algo adaboost --data data8.csv --out-model ens8.json --metrics ada8.csv "
+             "--hidden 2 --sgd-steps 100 --T 50 --n 256 --lr 0.05 --batch 32 --seed 42"),
+    ("sgd", "train --algo sgd --data data.csv --out-model sgd.json --metrics sgd.csv "
+            "--sgd-steps 2000 --seed 42"),
+    ("widen", "train --data data.csv --out-model widen.json --metrics widen.csv "
+              "--hidden 16 --T 10 --sgd-steps 100 --widen-units 4 --threads 2 --seed 42"),
+    ("relu", "train --data data.csv --out-model relu.json --metrics relu.csv --activation relu "
+             "--hidden 70,9 --init-scale 0.5 --T 10 --seed 42"),
+    # its SGD attempts end in NumericError mid-loop, then retry
+    ("numgen", "gen-data --m 300 --d 5 --teacher-hidden 8 --seed 3 "
+               "--out numdata.csv --teacher-out numteacher.json"),
+    ("num", "train --data numdata.csv --out-model num.json --metrics num.csv --hidden 8 --T 4 "
+            "--n 64 --sgd-steps 50 --lr 3e5 --batch 16 --sgd-growth 1.5 --lr-shrink 0.001 --seed 1"),
+)
+
+EVALS = (
+    ("teacher.json", "data.csv"), ("model.json", "data.csv"), ("sgd.json", "data.csv"),
+    ("widen.json", "data.csv"), ("relu.json", "data.csv"), ("teacher8.json", "data8.csv"),
+    ("ens8.json", "data8.csv"), ("numteacher.json", "numdata.csv"), ("num.json", "numdata.csv"),
+)
+
+
+def run(workdir: Path, name: str, argv: list[str]) -> None:
+    proc = subprocess.run(
+        [sys.executable, "-m", "selfieboost", *argv], cwd=workdir, capture_output=True, text=True
+    )
+    (workdir / f"{name}.log").write_text(
+        f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
+    )
+
+
+def main() -> int:
+    workdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out_digests")
+    workdir.mkdir(parents=True, exist_ok=True)
+    if any(workdir.iterdir()):
+        print(f"error: {workdir} is not empty", file=sys.stderr)
+        return 2
+    for name, command in COMMANDS:
+        run(workdir, name, command.split())
+    for model, data in EVALS:
+        run(workdir, f"eval-{Path(model).stem}", ["eval", "--model", model, "--data", data])
+    for path in sorted(workdir.iterdir()):
+        print(f"sha256 {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,7 +30,7 @@ from .nnet import (
     sgd_step,
     write_json,
 )
-from .sampling import SplitMix64, build_alias, chunked_sum, derive_seed, sample_indices
+from .sampling import SplitMix64, build_alias, chunked_sum, derive_seed, sample_indices, uniform_picks
 
 ENSEMBLE_FORMAT_VERSION = 1
 
@@ -93,9 +93,7 @@ def _hinge_steps(
     """``steps`` SGD updates of ``net`` in place on the linear hinge: gradient
     -y on examples with margin below 1, minibatches drawn uniformly by ``rng``."""
     buf = GradientBuffer(net)
-    m = data.m
-    for _ in range(steps):
-        pick = np.minimum((rng.uniform_block(batch) * m).astype(np.int64), m - 1)
+    for pick in uniform_picks(rng, steps * batch, data.m).reshape(steps, batch):
         xb = data.features[pick]
         yb = data.labels[pick]
         scores = forward_batch(net, xb)

@@ -36,6 +36,7 @@ from .sampling import (
     chunked_sum,
     derive_seed,
     sample_indices,
+    uniform_picks,
     weights_from_margins,
 )
 
@@ -220,6 +221,9 @@ def sgd_inner(
 ) -> FeedForwardNet:
     """Minibatch SGD on the surrogate, sampling uniformly from the working set.
 
+    All ``steps * batch`` minibatch indices are drawn from ``rng`` in one
+    block, the same stream as one draw of ``batch`` per step.
+
     ``snapshot_scores`` are the frozen scores of the current network over the
     full dataset; the candidate should start as a copy of it (warm start, at
     surrogate loss zero).  Non-finite values abort the attempt with
@@ -240,17 +244,20 @@ def sgd_inner(
     labels = data.labels[working_set]
     snap = np.asarray(snapshot_scores, dtype=np.float64)[working_set]
     n = len(working_set)
-    batch = sgd_params.batch
+    steps, batch = sgd_params.steps, sgd_params.batch
+    picks = uniform_picks(rng, steps * batch, n).reshape(steps, batch)
     buf = GradientBuffer(candidate)
     # overflow surfaces as NumericError via the explicit checks below, so
     # numpy's intermediate warnings carry no extra information here
     with np.errstate(all="ignore"):
-        for _ in range(sgd_params.steps):
-            pick = np.minimum((rng.uniform_block(batch) * n).astype(np.int64), n - 1)
+        for k, pick in enumerate(picks):
             xb = feats[pick]
             acts = _forward_cached(candidate, xb)
             scores = acts[-1][:, 0]
             if not np.all(np.isfinite(scores)):
+                # hand back the unused draws: the stream stands where
+                # drawing one minibatch per step would have left it
+                rng.skip(-(steps - k - 1) * batch)
                 raise NumericError("candidate scores became non-finite during SGD")
             grad = surrogate_output_grad(labels[pick], snap[pick], scores) / (batch * n)
             _backprop_core(candidate, acts, grad, buf)

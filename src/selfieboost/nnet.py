@@ -317,6 +317,20 @@ def net_to_dict(net: FeedForwardNet) -> dict:
     }
 
 
+def _json_numbers(value) -> bool:
+    """Whether ``value`` is a JSON number or nested lists of them; a string
+    or a bool is never a number, although numpy would convert both.
+    Iterative, so no nesting depth that the JSON parser accepts overflows it."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if type(v) is list:
+            stack.extend(v)
+        elif type(v) is not float and type(v) is not int:
+            return False
+    return True
+
+
 def net_from_dict(obj: dict) -> FeedForwardNet:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"model must be a JSON object, got {type(obj).__name__}")
@@ -331,7 +345,7 @@ def net_from_dict(obj: dict) -> FeedForwardNet:
         not isinstance(dims, list)
         or len(dims) < 2
         or dims[-1] != 1
-        or any(not isinstance(d, int) or d < 1 for d in dims)
+        or any(type(d) is not int or d < 1 for d in dims)
     ):
         raise ModelFormatError(f"bad field 'dims': {dims!r}")
     try:
@@ -345,10 +359,12 @@ def net_from_dict(obj: dict) -> FeedForwardNet:
     for i, layer in enumerate(layers):
         if not isinstance(layer, dict) or "w" not in layer or "b" not in layer:
             raise ModelFormatError(f"layer {i} must be an object with fields 'w' and 'b'")
+        if not (_json_numbers(layer["w"]) and _json_numbers(layer["b"])):
+            raise ModelFormatError(f"layer {i}: entries must be JSON numbers")
         try:
             w = np.asarray(layer["w"], dtype=np.float64)
             b = np.asarray(layer["b"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:  # ragged lists, integers beyond float64
             raise ModelFormatError(f"layer {i}: non-numeric entries ({exc})") from exc
         weights.append(w)
         biases.append(b)

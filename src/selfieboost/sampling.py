@@ -54,10 +54,15 @@ class SplitMix64:
         """
         steps = np.arange(1, count + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
-        self._state = (self._state + count * _GAMMA) & _MASK64
+        self.skip(count)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
+
+    def skip(self, count: int) -> None:
+        """Move the stream by ``count`` outputs without producing them;
+        a negative ``count`` rewinds, so the next outputs replay."""
+        self._state = (self._state + count * _GAMMA) & _MASK64
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * _INV53
@@ -80,6 +85,15 @@ class SplitMix64:
 def derive_seed(seed: int, stream: int) -> int:
     """Seed for an independent sub-stream: output ``stream`` of the base stream."""
     return _mix64((seed + (stream + 1) * _GAMMA) & _MASK64)
+
+
+def uniform_picks(rng: SplitMix64, count: int, n: int) -> np.ndarray:
+    """``count`` indices uniform on ``range(n)``, one uniform ``u`` each:
+    ``min(floor(u * n), n - 1)``.  Drawing ``s * b`` picks at once equals
+    ``s`` draws of ``b``, because the generator is counter-based."""
+    if count < 0:
+        raise ValueError(f"cannot draw {count} picks")
+    return np.minimum((rng.uniform_block(count) * n).astype(np.int64), n - 1)
 
 
 def chunked_sum(values: np.ndarray) -> float:

@@ -1,8 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from selfieboost import boost
 from selfieboost.boost import (
     BoostConfig,
     RetryPolicy,
@@ -21,7 +23,7 @@ from selfieboost.boost import (
     surrogate_output_grad,
 )
 from selfieboost.data import Dataset, gen_realizable
-from selfieboost.errors import ConfigError
+from selfieboost.errors import ConfigError, NumericError
 from selfieboost.nnet import NetworkArchitecture, forward, forward_batch, init_network
 from selfieboost.sampling import SplitMix64
 
@@ -320,6 +322,36 @@ class TestRunSelfieboost:
             assert r.sgd_steps_used == steps
             assert r.widened_to == width + 4 * r.retries_used
             width = r.widened_to
+
+    def test_numeric_abort_leaves_the_stream_after_the_failing_step(self, monkeypatch):
+        """An attempt that blows up at step k has drawn exactly (k+1) minibatches."""
+        dataset, _ = gen_realizable(300, 5, NetworkArchitecture(5, (8,)), 0.1, 3)
+        cfg = BoostConfig(
+            T=4, n=64, hidden=(8,), sgd=SgdParams(50, 3e5, 16),
+            retry=RetryPolicy(5, 1.5, 0, 1e-3), seed=1,
+        )
+        forward_cached, inner = boost._forward_cached, boost.sgd_inner
+        calls, aborts = [0], []
+
+        def counting_forward(*args):
+            calls[0] += 1
+            return forward_cached(*args)
+
+        def checked_inner(data, working_set, snapshot, candidate, params, rng):
+            fresh, calls[0] = copy.copy(rng), 0
+            try:
+                return inner(data, working_set, snapshot, candidate, params, rng)
+            except NumericError:
+                fresh.uniform_block(calls[0] * params.batch)
+                assert copy.copy(rng).next_u64() == fresh.next_u64()
+                aborts.append((calls[0], params.steps))
+                raise
+
+        monkeypatch.setattr(boost, "_forward_cached", counting_forward)
+        monkeypatch.setattr(boost, "sgd_inner", checked_inner)
+        result = run_selfieboost(dataset, cfg)
+        assert [r.retries_used for r in result.records] == [3, 2, 2, 2]
+        assert len(aborts) == 4 and all(c < steps for c, steps in aborts)
 
     def test_acceptance_soundness_replay(self, small_data, small_config):
         """Manually replay one iteration and recheck adoption with the oracle."""

@@ -32,9 +32,16 @@ MODEL = '{"format_version":%s,"activation":"tanh","dims":[2,1],"layers":[{"w":[[
     MODEL % (1, HUGE),
     '{"format_version":true,"alphas":[1.0],' + ONE_MEMBER + "}",
     MODEL % ("true", 1.0),
+    MODEL % (1, '"1.5"'),
+    MODEL.replace('"b":[0.0]', '"b":[true]') % (1, 1.0),
+    MODEL.replace('"dims":[2,1]', '"dims":[2,true]') % (1, 1.0),
+    '{"format_version":1,"alphas":[1.0],"members":[' + MODEL % (1, '"1.5"') + "]}",
+    MODEL.replace('"b":[0.0]', '"b":' + "[" * 900 + "0.0" + "]" * 900) % (1, 1.0),
 ], ids=[
     "empty", "null", "string", "bool", "nan",
     "member-overflow", "model-overflow", "ensemble-version-bool", "model-version-bool",
+    "model-string-weight", "model-bool-bias", "model-bool-dims", "member-string-weight",
+    "model-deep-bias",
 ])
 def test_empty_ensemble_is_malformed_input(tmp_path, capsys, doc):
     (tmp_path / "d.csv").write_text(TINY_CSV)

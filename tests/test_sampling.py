@@ -15,6 +15,7 @@ from selfieboost.sampling import (
     logsumexp,
     sample_indices,
     softmax,
+    uniform_picks,
     weights_from_margins,
 )
 
@@ -59,6 +60,38 @@ class TestSplitMix64:
         assert [int(v) for v in block] == [b.next_u64() for _ in range(37)]
         # stream continues identically after a block
         assert a.next_u64() == b.next_u64()
+
+    @pytest.mark.parametrize("steps,batch,n", [(0, 32, 256), (1, 1, 1), (7, 5, 13), (40, 32, 256)])
+    def test_uniform_picks_equal_per_step_draws(self, steps, batch, n):
+        a, b = SplitMix64(11), SplitMix64(11)
+        block = uniform_picks(a, steps * batch, n).reshape(steps, batch)
+        assert block.dtype == np.int64
+        for row in block:
+            per_step = np.minimum(np.floor(b.uniform_block(batch) * n).astype(np.int64), n - 1)
+            np.testing.assert_array_equal(row, per_step)
+        assert a.next_u64() == b.next_u64()
+
+    def test_uniform_picks_reject_a_negative_count(self):
+        rng = SplitMix64(11)
+        with pytest.raises(ValueError):
+            uniform_picks(rng, -1, 5)
+        assert rng.next_u64() == SplitMix64(11).next_u64()
+
+    @pytest.mark.parametrize("k", [0, 1, 37])
+    def test_skip_equals_k_outputs(self, k):
+        a, b = SplitMix64(2**63 + 17), SplitMix64(2**63 + 17)
+        a.skip(k)
+        for _ in range(k):
+            b.next_u64()
+        assert a.next_u64() == b.next_u64()
+
+    @pytest.mark.parametrize("k", [0, 1, 37])
+    def test_negative_skip_replays_the_last_outputs(self, k):
+        rng = SplitMix64(0)  # a rewind past the seed wraps like the counter
+        rng.skip(-5)
+        last = [rng.next_u64() for _ in range(k)]
+        rng.skip(-k)
+        assert [rng.next_u64() for _ in range(k)] == last
 
     def test_uniform_range_and_derivation(self):
         rng = SplitMix64(7)
