@@ -4,12 +4,15 @@ Each command's exit code, stdout and stderr go to ``<name>.log`` in the work
 directory and are digested with the model, metrics and data files, so two
 checkouts that print the same lines behave byte-identically on this set.
 The commands run ``python -m selfieboost`` from whichever package the
-interpreter imports, e.g. ``PYTHONPATH=src``.
+interpreter imports, e.g. ``PYTHONPATH=src``; relative ``PYTHONPATH`` entries
+are resolved against the directory the script starts in, not the work
+directory the commands run in.
 
 Usage: python scripts/check_digests.py [workdir]   (an empty or new directory)
 """
 
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +36,9 @@ COMMANDS = (
     # its SGD attempts end in NumericError mid-loop, then retry
     ("numgen", "gen-data --m 300 --d 5 --teacher-hidden 8 --seed 3 "
                "--out numdata.csv --teacher-out numteacher.json"),
+    # a relu teacher on inputs wider than one 64-column reduction block
+    ("gen130", "gen-data --m 300 --d 130 --teacher-hidden 70 --teacher-activation relu --seed 5 "
+               "--out data130.csv --teacher-out teacher130.json"),
     ("num", "train --data numdata.csv --out-model num.json --metrics num.csv --hidden 8 --T 4 "
             "--n 64 --sgd-steps 50 --lr 3e5 --batch 16 --sgd-growth 1.5 --lr-shrink 0.001 --seed 1"),
 )
@@ -41,12 +47,16 @@ EVALS = (
     ("teacher.json", "data.csv"), ("model.json", "data.csv"), ("sgd.json", "data.csv"),
     ("widen.json", "data.csv"), ("relu.json", "data.csv"), ("teacher8.json", "data8.csv"),
     ("ens8.json", "data8.csv"), ("numteacher.json", "numdata.csv"), ("num.json", "numdata.csv"),
+    ("teacher130.json", "data130.csv"),
 )
 
 
 def run(workdir: Path, name: str, argv: list[str]) -> None:
+    paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(os.path.abspath(p) for p in paths if p))
     proc = subprocess.run(
-        [sys.executable, "-m", "selfieboost", *argv], cwd=workdir, capture_output=True, text=True
+        [sys.executable, "-m", "selfieboost", *argv], cwd=workdir, env=env,
+        capture_output=True, text=True,
     )
     (workdir / f"{name}.log").write_text(
         f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"

@@ -147,6 +147,8 @@ def load_config_file(path: str) -> dict:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     _reject_unknown(obj, _KEYS[None], "config")

@@ -17,6 +17,13 @@ from .errors import DatasetParseError, DegenerateTeacherError, EmptyDatasetError
 from .nnet import FeedForwardNet, NetworkArchitecture, forward, forward_batch, init_network
 from .sampling import SplitMix64, derive_seed
 
+# Rejection attempts draw their normals in blocks of at most ``_ROWS`` rows
+# and ``_BLOCK_NORMALS`` values, so a wide ``d`` stays bounded; ``save_csv``
+# formats ``_ROWS`` rows at a time, so it never holds the whole matrix as
+# Python floats.
+_ROWS = 1024
+_BLOCK_NORMALS = 65536
+
 
 @dataclass(frozen=True)
 class DatasetProvenance:
@@ -88,6 +95,7 @@ def realize(
     teacher = init_network(teacher_arch, derive_seed(seed, 0), 1.0)
     rng = SplitMix64(derive_seed(seed, 1))
 
+    draws = _normal_rows(rng, d)
     features = np.empty((m, d))
     labels = np.empty(m)
     attempts = 0
@@ -100,7 +108,7 @@ def realize(
                     f"rejection sampling exceeded {cap} attempts; "
                     f"teacher (seed {seed}) scores almost everything inside +-{tau}"
                 )
-            x = rng.normal_block(d)
+            x = next(draws)
             raw = forward(teacher, x)
             if abs(raw) >= tau:
                 break
@@ -119,14 +127,27 @@ def realize(
     return dataset, teacher
 
 
+def _normal_rows(rng: SplitMix64, d: int):
+    """Endless standard-normal rows of width ``d``, one per rejection attempt.
+
+    Each block of rows comes from one ``normal_block`` call.  The generator is
+    counter-based and every normal takes two uniforms, so row ``r`` equals
+    the ``r``-th of separate ``normal_block(d)`` calls bit for bit.
+    """
+    rows = min(_ROWS, max(1, _BLOCK_NORMALS // d))
+    while True:
+        yield from rng.normal_block(rows * d).reshape(rows, d)
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Header ``f0,...,f{d-1},label``; one row per example; LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join([f"f{j}" for j in range(dataset.d)] + ["label"]) + "\n")
-        for i in range(dataset.m):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(str(int(dataset.labels[i])))
-            fh.write(",".join(row) + "\n")
+        for k in range(0, dataset.m, _ROWS):
+            rows = dataset.features[k : k + _ROWS].tolist()
+            labels = dataset.labels[k : k + _ROWS].tolist()
+            for row, label in zip(rows, labels):
+                fh.write(",".join(map(repr, row)) + f",{int(label)}\n")
 
 
 def load_csv(path) -> Dataset:

@@ -197,7 +197,7 @@ def forward(net: FeedForwardNet, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != net.architecture.input_dim:
         raise ShapeError(f"expected input of shape ({net.architecture.input_dim},), got {x.shape}")
-    return float(forward_batch(net, x[None, :])[0])
+    return float(_forward_cached(net, x[None, :])[-1][0, 0])
 
 
 def _backprop_core(net: FeedForwardNet, acts, upstream: np.ndarray, buf: GradientBuffer) -> None:
@@ -395,6 +395,8 @@ def read_json(path):
             raise ModelFormatError(
                 f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError as exc:
+            raise ModelFormatError("JSON nested too deeply to parse") from exc
 
 
 def load_model(path) -> FeedForwardNet:

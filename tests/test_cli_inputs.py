@@ -51,6 +51,25 @@ def test_empty_ensemble_is_malformed_input(tmp_path, capsys, doc):
     assert_one_error_line(capsys.readouterr().err)
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON parser's recursion limit
+
+
+@pytest.mark.parametrize("kind, doc, code", [
+    ("model", MODEL.replace('"b":[0.0]', '"b":' + DEEP) % (1, 1.0), EXIT_IO),
+    ("ensemble", '{"format_version":1,"alphas":[1.0],"members":' + DEEP + "}", EXIT_IO),
+    ("config", '{"hidden":' + DEEP + "}", EXIT_USAGE),
+], ids=["model", "ensemble", "config"])
+def test_too_deeply_nested_json_is_malformed_input(tmp_path, capsys, kind, doc, code):
+    (tmp_path / "d.csv").write_text(TINY_CSV)
+    (tmp_path / "doc.json").write_text(doc)
+    if kind == "config":
+        argv = ["train", "--config", str(tmp_path / "doc.json")]
+    else:
+        argv = ["eval", "--model", str(tmp_path / "doc.json"), "--data", str(tmp_path / "d.csv")]
+    assert main(argv) == code
+    assert_one_error_line(capsys.readouterr().err)
+
+
 def test_compare_rejects_train_only_flags(tmp_path, capsys):
     (tmp_path / "d.csv").write_text(TINY_CSV)
     argv = ["compare", "--data", str(tmp_path / "d.csv"), "--T", "1", "--metrics", str(tmp_path / "x.csv")]

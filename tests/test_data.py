@@ -7,7 +7,9 @@ from selfieboost.errors import (
     DegenerateTeacherError,
     EmptyDatasetError,
 )
-from selfieboost.nnet import NetworkArchitecture, forward_batch
+from selfieboost import data
+from selfieboost.nnet import NetworkArchitecture, forward, forward_batch, init_network
+from selfieboost.sampling import SplitMix64, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -40,10 +42,19 @@ class TestGenRealizable:
         assert dataset.provenance.rejected >= 0
         assert dataset.provenance.seed == 11
 
-    def test_impossible_dead_zone_raises(self):
-        # a dead zone the teacher can essentially never escape
-        with pytest.raises(DegenerateTeacherError):
+    def test_impossible_dead_zone_raises(self, monkeypatch):
+        # a dead zone the teacher can never escape: the cap counts one scalar
+        # score per attempt, however the attempts' draws are blocked
+        calls = []
+
+        def counted(net, x):
+            calls.append(1)
+            return forward(net, x)
+
+        monkeypatch.setattr(data, "forward", counted)
+        with pytest.raises(DegenerateTeacherError, match="exceeded 5000 attempts"):
             gen_realizable(50, 3, NetworkArchitecture(3, (2,)), 1e6, 0)
+        assert len(calls) == 100 * 50
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -52,6 +63,40 @@ class TestGenRealizable:
             gen_realizable(5, 3, NetworkArchitecture(3, (2,)), 0.0, 0)
         with pytest.raises(ValueError):
             gen_realizable(5, 3, NetworkArchitecture(4, (2,)), 0.1, 0)  # dim mismatch
+
+
+def realize_per_attempt(m, arch, tau, seed):
+    """The sampler one attempt at a time: one ``normal_block(d)`` and one
+    scalar score per attempt, kept when the score is outside ``(-tau, tau)``."""
+    teacher = init_network(arch, derive_seed(seed, 0), 1.0)
+    rng = SplitMix64(derive_seed(seed, 1))
+    features, labels, attempts = [], [], 0
+    while len(features) < m:
+        attempts += 1
+        x = rng.normal_block(arch.input_dim)
+        raw = forward(teacher, x)
+        if abs(raw) >= tau:
+            features.append(x)
+            labels.append(1.0 if raw > 0 else -1.0)
+    teacher.weights[-1] *= 1.0 / tau
+    teacher.biases[-1] *= 1.0 / tau
+    return np.array(features), np.array(labels), attempts - m, teacher
+
+
+@pytest.mark.parametrize("m, arch, tau, block_rows", [
+    (1500, NetworkArchitecture(4, (4,)), 0.1, 1024),
+    # 65536 // 130 normals: blocks of 504 rows
+    (600, NetworkArchitecture(130, (70,), "relu"), 0.4, 504),
+], ids=["tanh-d4", "relu-d130"])
+def test_block_draws_match_per_attempt_draws(m, arch, tau, block_rows):
+    dataset, teacher = gen_realizable(m, arch.input_dim, arch, tau, 7)
+    features, labels, rejected, expected = realize_per_attempt(m, arch, tau, 7)
+    assert m + rejected > 2 * block_rows  # the attempts span at least three draw blocks
+    np.testing.assert_array_equal(dataset.features, features)
+    np.testing.assert_array_equal(dataset.labels, labels)
+    assert dataset.provenance.rejected == rejected
+    for a, b in zip(teacher.weights + teacher.biases, expected.weights + expected.biases):
+        np.testing.assert_array_equal(a, b)
 
 
 class TestDatasetType:
