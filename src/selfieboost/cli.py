@@ -274,8 +274,8 @@ def cmd_train(args) -> int:
             _write_csv(cfg.metrics_path, ADABOOST_HEADER, rows)
         if cfg.out_model:
             baselines.save_ensemble(result.model, cfg.out_model)
-        final_err = baselines.ensemble_err(result.model, dataset)
-        print(f"rounds={len(result.rounds)} final_err={_fmt(final_err)}")
+        # run_adaboost's last round scored the finished ensemble on the full set
+        print(f"rounds={len(result.rounds)} final_err={_fmt(result.rounds[-1].ensemble_err)}")
         return EXIT_OK
     # plain sgd
     arch = NetworkArchitecture(dataset.d, cfg.boost.hidden, cfg.boost.activation)
@@ -368,7 +368,7 @@ def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     ada = baselines.run_adaboost(dataset, _weak_config(cfg.boost), cfg.boost.T, cfg.boost.seed)
     ada_ms = (time.perf_counter() - t0) * 1000.0 if args.wall_clock else 0.0
-    ada_err = baselines.ensemble_err(ada.model, dataset)
+    ada_err = ada.rounds[-1].ensemble_err
     ada_evals = baselines.cost(ada.model).network_evals_per_prediction
 
     _write_csv(args.out, COMPARE_HEADER, [

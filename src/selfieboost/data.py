@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DatasetParseError, DegenerateTeacherError, EmptyDatasetError
-from .nnet import FeedForwardNet, NetworkArchitecture, forward, forward_batch, init_network
+from .nnet import FeedForwardNet, NetworkArchitecture, forward_batch, init_network
+from .nnet import forward  # noqa: F401 -- unused; perfbench's boundary table names data.forward
 from .sampling import SplitMix64, derive_seed
 
 # Rejection attempts draw their normals in blocks of at most ``_ROWS`` rows
@@ -95,25 +96,26 @@ def realize(
     teacher = init_network(teacher_arch, derive_seed(seed, 0), 1.0)
     rng = SplitMix64(derive_seed(seed, 1))
 
-    draws = _normal_rows(rng, d)
     features = np.empty((m, d))
     labels = np.empty(m)
-    attempts = 0
+    filled = attempts = 0
     cap = 100 * m
-    for i in range(m):
-        while True:
-            attempts += 1
-            if attempts > cap:
-                raise DegenerateTeacherError(
-                    f"rejection sampling exceeded {cap} attempts; "
-                    f"teacher (seed {seed}) scores almost everything inside +-{tau}"
-                )
-            x = next(draws)
-            raw = forward(teacher, x)
-            if abs(raw) >= tau:
-                break
-        features[i] = x
-        labels[i] = 1.0 if raw > 0 else -1.0
+    for block in _normal_blocks(rng, d):
+        raw = forward_batch(teacher, block)
+        kept = np.flatnonzero(np.abs(raw) >= tau)[: m - filled]
+        done = filled + kept.size == m
+        # attempts run up to the m-th accepted row, or through the block
+        attempts += int(kept[-1]) + 1 if done else block.shape[0]
+        if attempts > cap:
+            raise DegenerateTeacherError(
+                f"rejection sampling exceeded {cap} attempts; "
+                f"teacher (seed {seed}) scores almost everything inside +-{tau}"
+            )
+        features[filled : filled + kept.size] = block[kept]
+        labels[filled : filled + kept.size] = np.where(raw[kept] > 0, 1.0, -1.0)
+        filled += kept.size
+        if done:
+            break
 
     # lift every margin to >= 1 by scaling the output layer
     teacher.weights[-1] *= 1.0 / tau
@@ -127,16 +129,18 @@ def realize(
     return dataset, teacher
 
 
-def _normal_rows(rng: SplitMix64, d: int):
-    """Endless standard-normal rows of width ``d``, one per rejection attempt.
+def _normal_blocks(rng: SplitMix64, d: int):
+    """Endless blocks of standard-normal rows of width ``d``, one row per
+    rejection attempt.
 
-    Each block of rows comes from one ``normal_block`` call.  The generator is
-    counter-based and every normal takes two uniforms, so row ``r`` equals
-    the ``r``-th of separate ``normal_block(d)`` calls bit for bit.
+    Each block comes from one ``normal_block`` call.  The generator is
+    counter-based and every normal takes two uniforms, so row ``r`` of the
+    concatenated blocks equals the ``r``-th of separate ``normal_block(d)``
+    calls bit for bit.
     """
     rows = min(_ROWS, max(1, _BLOCK_NORMALS // d))
     while True:
-        yield from rng.normal_block(rows * d).reshape(rows, d)
+        yield rng.normal_block(rows * d).reshape(rows, d)
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -151,23 +155,28 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
+    """Parse a dataset file.  Blank lines are skipped; an error names a row
+    by its line number in the file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n").rstrip("\r") for line in fh]
-    lines = [line for line in lines if line]
-    if not lines:
+    nonblank = np.flatnonzero(np.fromiter(map(bool, lines), dtype=bool, count=len(lines)))
+    if not nonblank.size:
         raise EmptyDatasetError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
+    head = lines[nonblank[0]]
+    header = head.split(",")
     if header[-1] != "label" or len(header) < 2:
-        raise DatasetParseError(f"{path}: bad header {lines[0]!r}")
+        raise DatasetParseError(f"{path}: bad header {head!r}")
     d = len(header) - 1
     if header[:-1] != [f"f{j}" for j in range(d)]:
-        raise DatasetParseError(f"{path}: bad header {lines[0]!r}")
-    if len(lines) == 1:
+        raise DatasetParseError(f"{path}: bad header {head!r}")
+    rows = nonblank[1:]
+    if not rows.size:
         raise EmptyDatasetError(f"{path}: no data rows")
-    features = np.empty((len(lines) - 1, d))
-    labels = np.empty(len(lines) - 1)
-    for r, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    features = np.empty((rows.size, d))
+    labels = np.empty(rows.size)
+    for k, i in enumerate(rows):
+        r = i + 1
+        parts = lines[i].split(",")
         if len(parts) != d + 1:
             raise DatasetParseError(f"{path}: row {r} has {len(parts)} fields, expected {d + 1}")
         try:
@@ -176,9 +185,9 @@ def load_csv(path) -> Dataset:
             raise DatasetParseError(f"{path}: row {r}: {exc}") from exc
         if values[-1] not in (-1.0, 1.0):
             raise DatasetParseError(f"{path}: row {r}: label must be -1 or 1, got {parts[-1]!r}")
-        features[r - 2] = values[:-1]
-        labels[r - 2] = values[-1]
+        features[k] = values[:-1]
+        labels[k] = values[-1]
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
-        raise DatasetParseError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite feature")
+        raise DatasetParseError(f"{path}: row {rows[np.argmin(finite)] + 1}: non-finite feature")
     return Dataset(features, labels)

@@ -66,10 +66,15 @@ class TestRunAdaBoost:
         assert all(0.0 <= rnd.eps < 0.5 for rnd in result.rounds)
 
     def test_recorded_ensemble_err_matches_model(self, curved_data):
+        # train prints rounds[-1].ensemble_err as the ensemble's final error,
+        # both for a run that ends at T and for one stopped by a chance learner
         result = run_adaboost(curved_data, WEAK_LINEAR, T=6, seed=2)
-        assert result.rounds[-1].ensemble_err == pytest.approx(
-            ensemble_err(result.model, curved_data), abs=1e-15
-        )
+        assert len(result.rounds) == 6
+        assert result.rounds[-1].ensemble_err == ensemble_err(result.model, curved_data)
+        readme, _ = gen_realizable(2000, 10, NetworkArchitecture(10, (4,)), 0.1, 42)
+        result = run_adaboost(readme, WeakLearnerConfig(hidden=(2,), steps=5), T=50, seed=42)
+        assert len(result.rounds) == 2 and result.rounds[-1].eps > 0.0
+        assert result.rounds[-1].ensemble_err == ensemble_err(result.model, readme)
 
     def test_chance_learner_discarded_and_run_errors(self):
         # the injected learner is right on one example, wrong on the other

@@ -99,6 +99,21 @@ def test_non_finite_feature_is_malformed_input(tmp_path, capsys, command, bad):
     assert "row 3" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("f0,f1,label\n0.5,1.0,1\n\n1.5,0.25,1\nabc,1.0,1\n", 5),
+    ("\nf0,f1,label\n0.5,1.0,1\n\n\n1.5,0.25,0\n", 6),
+    ("f0,f1,label\n\n0.5,1.0,1\n1.5,1\n", 4),
+    ("f0,f1,label\n\n0.5,1.0,1\n\nnan,1.0,1\n", 5),
+], ids=["value", "label", "fields", "non-finite"])
+def test_bad_row_after_blank_line_names_its_line(tmp_path, capsys, text, line):
+    # blank lines are skipped but still counted
+    (tmp_path / "d.csv").write_text(text)
+    assert main(["train", "--data", str(tmp_path / "d.csv"), "--T", "1", "--hidden", "4"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert f"row {line}:" in err or f"row {line} has" in err
+
+
 @pytest.mark.parametrize("entry", [
     {"threads": "2"},
     {"hidden": "32"},

@@ -42,19 +42,34 @@ class TestGenRealizable:
         assert dataset.provenance.rejected >= 0
         assert dataset.provenance.seed == 11
 
-    def test_impossible_dead_zone_raises(self, monkeypatch):
-        # a dead zone the teacher can never escape: the cap counts one scalar
-        # score per attempt, however the attempts' draws are blocked
-        calls = []
-
-        def counted(net, x):
-            calls.append(1)
-            return forward(net, x)
-
-        monkeypatch.setattr(data, "forward", counted)
+    def test_impossible_dead_zone_raises(self):
         with pytest.raises(DegenerateTeacherError, match="exceeded 5000 attempts"):
             gen_realizable(50, 3, NetworkArchitecture(3, (2,)), 1e6, 0)
-        assert len(calls) == 100 * 50
+
+    @pytest.mark.parametrize("attempt", [1, 2, 99, 100, 101, 1024])
+    def test_cap_counts_attempts(self, monkeypatch, attempt):
+        # blocks are scored whole, yet the cap counts attempts: only row
+        # ``attempt - 1`` of the first block escapes the dead zone
+        first = []
+
+        def one_hit(net, x):
+            scores = forward_batch(net, x)
+            if not first:
+                first.append(x.shape[0])
+                scores[:] = 0.0
+                scores[attempt - 1] = 2e6
+            return scores
+
+        monkeypatch.setattr(data, "forward_batch", one_hit)
+        arch = NetworkArchitecture(3, (2,))
+        if attempt > 100:  # m=1: the cap is 100 attempts
+            with pytest.raises(DegenerateTeacherError, match="exceeded 100 attempts"):
+                gen_realizable(1, 3, arch, 1e6, 0)
+        else:
+            dataset, _ = gen_realizable(1, 3, arch, 1e6, 0)
+            assert dataset.provenance.rejected == attempt - 1
+            assert dataset.labels.tolist() == [1.0]
+        assert first == [1024]
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
