@@ -48,6 +48,11 @@ COMMANDS = (
              "--hidden 2 --sgd-steps 5 --T 50 --seed 42"),
     ("num", "train --data numdata.csv --out-model num.json --metrics num.csv --hidden 8 --T 4 "
             "--n 64 --sgd-steps 50 --lr 3e5 --batch 16 --sgd-growth 1.5 --lr-shrink 0.001 --seed 1"),
+    # baseline SGD blow-ups: exit 5, no model and no metrics file
+    ("sgdnum", "train --algo sgd --data numdata.csv --out-model sgdnum.json --metrics sgdnum.csv "
+               "--hidden 8,8 --activation relu --init-scale 1 --sgd-steps 200 --lr 1e50 --seed 1"),
+    ("adanum", "train --algo adaboost --data numdata.csv --out-model adanum.json --metrics adanum.csv "
+               "--hidden 8,8 --activation relu --init-scale 1 --sgd-steps 200 --lr 1e50 --T 5 --seed 1"),
 )
 
 EVALS = (

@@ -15,24 +15,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .boost import _initial_net, _sgd_loop, err
 from .data import Dataset
 from .errors import ModelFormatError, ModelVersionError, NoWeakLearnerError, ShapeError
 from .nnet import (
     FeedForwardNet,
-    GradientBuffer,
     NetworkArchitecture,
-    _backprop_core,
-    _forward_cached,
     backprop_batch,  # noqa: F401 -- unused; perfbench's boundary table names baselines.backprop_batch
     forward_batch,
-    init_network,
     net_from_dict,
     net_to_dict,
     read_json,
-    sgd_step,
     write_json,
 )
-from .sampling import SplitMix64, build_alias, chunked_sum, derive_seed, sample_indices, uniform_picks
+from .sampling import SplitMix64, build_alias, chunked_sum, derive_seed, sample_indices
 
 ENSEMBLE_FORMAT_VERSION = 1
 
@@ -94,17 +90,12 @@ def _hinge_steps(
 ) -> None:
     """``steps`` SGD updates of ``net`` in place on the linear hinge: gradient
     -y on examples with margin below 1, minibatches drawn uniformly by ``rng``."""
-    buf = GradientBuffer(net)
-    for pick in uniform_picks(rng, steps * batch, data.m).reshape(steps, batch):
-        xb = data.features[pick]
+
+    def upstream(pick, scores):
         yb = data.labels[pick]
-        acts = _forward_cached(net, xb)
-        upstream = np.where(yb * acts[-1][:, 0] < 1.0, -yb, 0.0) / batch
-        _backprop_core(net, acts, upstream, buf)
-        if lr > 0:
-            sgd_step(net, buf, lr)
-        else:
-            buf.zero()
+        return np.where(yb * scores < 1.0, -yb, 0.0) / batch
+
+    _sgd_loop(net, data.features, steps, lr, batch, rng, upstream)
 
 
 def _hinge_sgd(
@@ -116,8 +107,8 @@ def _hinge_sgd(
     init_scale: float,
     seed: int,
 ) -> FeedForwardNet:
-    """A freshly seeded net after ``steps`` hinge-SGD updates."""
-    net = init_network(arch, derive_seed(seed, 0), init_scale)
+    """A net started as SelfieBoost starts, after ``steps`` hinge-SGD updates."""
+    net = _initial_net(arch, derive_seed(seed, 0), init_scale)
     _hinge_steps(net, data, steps, lr, batch, SplitMix64(derive_seed(seed, 1)))
     return net
 
@@ -241,26 +232,22 @@ def run_plain_sgd(
 ) -> PlainSgdResult:
     """Uniform-sampling hinge SGD control: one network, no boosting.
 
-    ``lr=0`` leaves the parameters untouched.  The training-error trajectory
-    is recorded at roughly ``checkpoints`` evenly spaced steps.
+    It starts from SelfieBoost's initial net.  ``lr=0`` leaves the parameters
+    untouched.  The training-error trajectory is recorded at roughly
+    ``checkpoints`` evenly spaced steps.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    net = init_network(arch, derive_seed(seed, 0), init_scale)
+    net = _initial_net(arch, derive_seed(seed, 0), init_scale)
     rng = SplitMix64(derive_seed(seed, 1))
     every = max(1, steps // max(1, checkpoints))
-
-    def train_err() -> float:
-        scores = forward_batch(net, data.features)
-        return float(np.count_nonzero(data.labels * scores <= 0.0)) / data.m
-
-    trajectory = [(0, train_err())]
+    trajectory = [(0, err(net, data))]
     for start in range(0, steps, every):
         stop = min(start + every, steps)
         _hinge_steps(net, data, stop - start, lr, batch, rng)
-        trajectory.append((stop, train_err()))
+        trajectory.append((stop, err(net, data)))
     return PlainSgdResult(net=net, trajectory=tuple(trajectory))
 
 

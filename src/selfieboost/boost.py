@@ -190,7 +190,11 @@ def mistakes_from_margins(margin_values: np.ndarray) -> int:
 
 
 def mistakes(net: FeedForwardNet, data: Dataset) -> int:
-    return mistakes_from_margins(data.labels * forward_batch(net, data.features))
+    with np.errstate(all="ignore"):
+        scores = forward_batch(net, data.features)
+    if not np.isfinite(scores).all():
+        raise NumericError("network scores are non-finite")
+    return mistakes_from_margins(data.labels * scores)
 
 
 def err(net: FeedForwardNet, data: Dataset) -> float:
@@ -211,6 +215,38 @@ def surrogate_output_grad(labels: np.ndarray, snapshot: np.ndarray, candidate: n
     return -np.asarray(labels) + (np.asarray(candidate) - np.asarray(snapshot))
 
 
+def _sgd_loop(net, feats, steps, lr, batch, rng, upstream) -> None:
+    """``steps`` minibatch SGD updates of ``net`` in place, on rows of ``feats``:
+    the one loop behind SelfieBoost's candidates and the baselines.
+
+    All ``steps * batch`` picks come from ``rng`` in one block, the stream of
+    one draw of ``batch`` per step.  ``upstream(pick, scores)`` is the loss
+    gradient wrt the scores; ``lr = 0`` leaves ``net`` as it is.  Non-finite
+    scores or parameters raise :class:`NumericError`.
+    """
+    picks = uniform_picks(rng, steps * batch, len(feats)).reshape(steps, batch)
+    buf = GradientBuffer(net)
+    # overflow surfaces as NumericError via the explicit checks below, so
+    # numpy's intermediate warnings carry no extra information here
+    with np.errstate(all="ignore"):
+        for k, pick in enumerate(picks):
+            acts = _forward_cached(net, feats[pick])
+            scores = acts[-1][:, 0]
+            if not np.isfinite(scores).all():
+                # hand back the unused draws: the stream stands where
+                # drawing one minibatch per step would have left it
+                rng.skip(-(steps - k - 1) * batch)
+                raise NumericError("scores became non-finite during SGD")
+            _backprop_core(net, acts, upstream(pick, scores), buf)
+            if lr > 0:
+                sgd_step(net, buf, lr)
+            else:
+                buf.zero()
+    for w in net.weights:
+        if not np.isfinite(w).all():
+            raise NumericError("parameters became non-finite during SGD")
+
+
 def sgd_inner(
     data: Dataset,
     working_set: np.ndarray,
@@ -221,13 +257,9 @@ def sgd_inner(
 ) -> FeedForwardNet:
     """Minibatch SGD on the surrogate, sampling uniformly from the working set.
 
-    All ``steps * batch`` minibatch indices are drawn from ``rng`` in one
-    block, the same stream as one draw of ``batch`` per step.
-
     ``snapshot_scores`` are the frozen scores of the current network over the
     full dataset; the candidate should start as a copy of it (warm start, at
-    surrogate loss zero).  Non-finite values abort the attempt with
-    :class:`NumericError`.
+    surrogate loss zero).
 
     Each update applies the minibatch-mean gradient scaled by a further
     ``1/n``, so ``lr`` measures the total parameter movement of one full pass
@@ -240,31 +272,13 @@ def sgd_inner(
     """
     if len(working_set) == 0:
         raise EmptyDatasetError("working set is empty")
-    feats = data.features[working_set]
     labels = data.labels[working_set]
     snap = np.asarray(snapshot_scores, dtype=np.float64)[working_set]
-    n = len(working_set)
-    steps, batch = sgd_params.steps, sgd_params.batch
-    picks = uniform_picks(rng, steps * batch, n).reshape(steps, batch)
-    buf = GradientBuffer(candidate)
-    # overflow surfaces as NumericError via the explicit checks below, so
-    # numpy's intermediate warnings carry no extra information here
-    with np.errstate(all="ignore"):
-        for k, pick in enumerate(picks):
-            xb = feats[pick]
-            acts = _forward_cached(candidate, xb)
-            scores = acts[-1][:, 0]
-            if not np.all(np.isfinite(scores)):
-                # hand back the unused draws: the stream stands where
-                # drawing one minibatch per step would have left it
-                rng.skip(-(steps - k - 1) * batch)
-                raise NumericError("candidate scores became non-finite during SGD")
-            grad = surrogate_output_grad(labels[pick], snap[pick], scores) / (batch * n)
-            _backprop_core(candidate, acts, grad, buf)
-            sgd_step(candidate, buf, sgd_params.lr)
-    for w in candidate.weights:
-        if not np.all(np.isfinite(w)):
-            raise NumericError("candidate parameters became non-finite during SGD")
+    scale = sgd_params.batch * len(working_set)
+    _sgd_loop(
+        candidate, data.features[working_set], sgd_params.steps, sgd_params.lr, sgd_params.batch, rng,
+        lambda pick, scores: surrogate_output_grad(labels[pick], snap[pick], scores) / scale,
+    )
     return candidate
 
 
@@ -292,7 +306,7 @@ def edge(cache: MarginCache, candidate_scores: np.ndarray, rho: float = 0.1) -> 
 
 
 def _initial_net(arch: NetworkArchitecture, seed: int, init_scale: float) -> FeedForwardNet:
-    """Initial network for a boosting run.
+    """Initial network of a boosting run and of the baselines' SGD.
 
     ``init_scale > 0`` draws every layer at that scale.  ``init_scale = 0``
     must give the exactly-zero function (its potential is then exactly

@@ -292,11 +292,8 @@ def cmd_train(args) -> int:
 
 
 def _weak_config(cfg: BoostConfig) -> baselines.WeakLearnerConfig:
-    """Weak learners get the same architecture and per-round SGD budget.
-
-    They are always randomly initialized: ``init_scale`` describes the
-    boosting start, and a zero net cannot be trained by backprop at all.
-    """
+    """Weak learners get the same architecture and per-round SGD budget, and
+    always start at scale 1: ``init_scale`` sets the single-network starts."""
     return baselines.WeakLearnerConfig(
         hidden=cfg.hidden,
         activation=cfg.activation,

@@ -14,6 +14,7 @@ from selfieboost.baselines import (
     run_plain_sgd,
     save_ensemble,
 )
+from selfieboost.boost import _initial_net
 from selfieboost.data import Dataset, gen_realizable
 from selfieboost.errors import ModelVersionError, NoWeakLearnerError
 from selfieboost.nnet import (
@@ -127,6 +128,15 @@ class TestPlainSgd:
         for a, b in zip(result.net.weights, reference.weights):
             np.testing.assert_array_equal(a, b)
         assert result.trajectory[0][0] == 0
+
+    def test_zero_init_scale_starts_where_selfieboost_starts(self, easy_data):
+        arch = NetworkArchitecture(4, (3,))
+        start = run_plain_sgd(easy_data, arch, steps=0, lr=0.1, seed=4, init_scale=0.0).net
+        reference = _initial_net(arch, derive_seed(4, 0), 0.0)
+        for a, b in zip(start.weights + start.biases, reference.weights + reference.biases):
+            assert a.tobytes() == b.tobytes()
+        trained = run_plain_sgd(easy_data, arch, steps=50, lr=0.1, seed=4, init_scale=0.0).net
+        assert trained.weights[0].tobytes() != start.weights[0].tobytes()
 
     def test_zero_lr_changes_nothing(self, easy_data):
         arch = NetworkArchitecture(4, (3,))

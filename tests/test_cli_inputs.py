@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from selfieboost.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, METRICS_HEADER, main
+from selfieboost.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, METRICS_HEADER, main
 
 TINY_CSV = "f0,f1,label\n0.5,1.0,1\n-0.5,-1.0,-1\n1.5,0.25,1\n"
 
@@ -146,6 +146,24 @@ def test_widening_without_hidden_layer_is_rejected_before_work(tmp_path, capsys)
     out, err = capsys.readouterr()
     assert_one_error_line(err)
     assert "widen_units" in err and out == "" and not metrics.exists()
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would reach stderr
+@pytest.mark.parametrize("algo", [["sgd"], ["adaboost", "--T", "5"]], ids=["sgd", "adaboost"])
+def test_baseline_sgd_blow_up_is_numeric_error(tmp_path, capsys, algo):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    assert main([
+        "gen-data", "--m", "300", "--d", "5", "--teacher-hidden", "8", "--seed", "3",
+        "--out", str(data), "--teacher-out", str(tmp_path / "t.json"),
+    ]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["train", "--algo", *algo, "--data", str(data), "--out-model", str(model),
+                 "--hidden", "8,8", "--activation", "relu", "--init-scale", "1",
+                 "--sgd-steps", "200", "--lr", "1e50", "--seed", "1"])
+    assert code == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert_one_error_line(err)
+    assert out == "" and not model.exists()
 
 
 def test_bound_suite_rejects_m_below_one(tmp_path, capsys):
