@@ -33,6 +33,9 @@ COMMANDS = (
               "--hidden 16 --T 10 --sgd-steps 100 --widen-units 4 --threads 2 --seed 42"),
     ("relu", "train --data data.csv --out-model relu.json --metrics relu.csv --activation relu "
              "--hidden 70,9 --init-scale 0.5 --T 10 --seed 42"),
+    # one SGD step and no retry find no candidate: exit 4
+    ("stall", "train --data data.csv --out-model stall.json --metrics stall.csv --hidden 32 --T 5 "
+              "--sgd-steps 1 --max-retries 0 --seed 42"),
     # its SGD attempts end in NumericError mid-loop, then retry
     ("numgen", "gen-data --m 300 --d 5 --teacher-hidden 8 --seed 3 "
                "--out numdata.csv --teacher-out numteacher.json"),

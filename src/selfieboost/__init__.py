@@ -50,7 +50,6 @@ from .nnet import (
     widen,
 )
 from .sampling import (
-    AliasTable,
     SplitMix64,
     WeightTable,
     build_alias,

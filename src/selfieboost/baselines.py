@@ -1,9 +1,9 @@
 """Ensemble and plain-SGD baselines for the single-network comparison.
 
 The AdaBoost variant resamples (rather than reweights) so it shares the
-alias sampling machinery: each round draws a working set from the current
-example distribution, trains a weak net on it by hinge SGD, and keeps the
-net only if its weighted error beats chance.
+inverse-CDF working-set sampler: each round draws a working set from the
+current example distribution, trains a weak net on it by hinge SGD, and
+keeps the net only if its weighted error beats chance.
 """
 
 from __future__ import annotations

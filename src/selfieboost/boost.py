@@ -3,10 +3,9 @@
 Each iteration reweights examples by ``exp(-margin)``, resamples a working
 set, runs SGD on a surrogate that rewards moving scores toward the labels
 while tethering the candidate to the current network, then accepts the
-candidate only if a full-dataset functional drops below ``-rho`` and no
-margin moves by more than 1.  Accepted iterations provably shrink the
-log-sum-exp potential by at least ``rho``, which is what drives training
-error to ``exp(-rho * iterations)``.
+candidate only if a full-dataset functional drops below ``-rho``, no
+margin moves up by more than 1, and the log-sum-exp potential drops by at
+least ``rho``, which is what drives training error to ``exp(-rho * iterations)``.
 """
 
 from __future__ import annotations
@@ -133,6 +132,7 @@ class EdgeReport:
     max_margin_diff: float
     accepted: bool
     violation_count: int
+    candidate: MarginCache
 
 
 @dataclass(frozen=True)
@@ -286,22 +286,27 @@ def edge(cache: MarginCache, candidate_scores: np.ndarray, rho: float = 0.1) -> 
     """Full-dataset acceptance functional for a candidate.
 
     ``edge = sum_i D_i * (-d_i + d_i^2 / 2)`` with ``d_i = y_i (g_i - f_i)``,
-    summed in fixed index order.  Accepted iff ``edge < -rho`` and every
-    ``d_i <= 1``.
+    summed in fixed index order.  Accepted iff ``edge < -rho``, every
+    ``d_i <= 1`` and the ``candidate`` cache's potential is at most
+    ``cache.potential - rho``: the edge bounds the potential's change only
+    where no margin drops.  Non-finite scores raise :class:`NumericError`.
     """
     candidate_scores = np.asarray(candidate_scores, dtype=np.float64)
     if candidate_scores.shape != cache.raw_scores.shape:
         raise ShapeError("candidate scores length must match the cache")
+    candidate = cache_from_scores(candidate_scores, cache.labels)
     d = cache.labels * (candidate_scores - cache.raw_scores)
     terms = cache.weights.probs * (-d + 0.5 * d * d)
     value = chunked_sum(terms)
     max_diff = float(np.max(d))
     violations = int(np.count_nonzero(d > 1.0))
+    drops_by_rho = candidate.potential <= cache.potential - rho
     return EdgeReport(
         edge=value,
         max_margin_diff=max_diff,
-        accepted=bool(value < -rho and max_diff <= 1.0),
+        accepted=bool(value < -rho and max_diff <= 1.0 and drops_by_rho),
         violation_count=violations,
+        candidate=candidate,
     )
 
 
@@ -380,10 +385,7 @@ def run_selfieboost(
                     SgdParams(cur_steps, cur_lr, config.sgd.batch),
                     rng_sgd,
                 )
-                candidate_scores = forward_batch(candidate, data.features, threads)
-                if not np.all(np.isfinite(candidate_scores)):
-                    raise NumericError("candidate scores are non-finite")
-                report = edge(cache, candidate_scores, config.rho)
+                report = edge(cache, forward_batch(candidate, data.features, threads), config.rho)
             except NumericError:
                 if attempt == config.retry.max_retries:
                     raise
@@ -399,15 +401,14 @@ def run_selfieboost(
             stop_reason = STOP_NO_CANDIDATE
             break
         net = candidate
-        new_cache = cache_from_scores(candidate_scores, data.labels)
-        n_wrong = mistakes_from_margins(new_cache.margins)
+        n_wrong = mistakes_from_margins(report.candidate.margins)
         elapsed_ms = (time.perf_counter() - started) * 1000.0 if measure_time else 0.0
         records.append(
             IterationRecord(
                 t=t,
                 edge=report.edge,
                 potential_before=cache.potential,
-                potential_after=new_cache.potential,
+                potential_after=report.candidate.potential,
                 train_err=n_wrong / data.m,
                 mistakes=n_wrong,
                 retries_used=attempt,
@@ -416,7 +417,7 @@ def run_selfieboost(
                 wall_ms=elapsed_ms,
             )
         )
-        cache = new_cache
+        cache = report.candidate
 
     return TrainResult(
         final_net=net,

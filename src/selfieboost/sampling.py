@@ -1,4 +1,4 @@
-"""Deterministic randomness, stable exponential example weights, alias sampling.
+"""Deterministic randomness, stable exponential example weights, inverse-CDF draws.
 
 Every random draw in the package flows through :class:`SplitMix64`, so a run
 is reproducible bit for bit from a single integer seed on any platform.
@@ -148,61 +148,26 @@ def weights_from_margins(margins: np.ndarray) -> WeightTable:
     )
 
 
-@dataclass(frozen=True)
-class AliasTable:
-    """Vose alias table: O(m) build, O(1) exact-distribution draws."""
-
-    prob: np.ndarray
-    alias: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.prob)
-
-
-def build_alias(probs: np.ndarray) -> AliasTable:
-    """Construct an alias table for a normalized distribution.
-
-    The reconstruction ``(prob[i] + sum_{alias[j]=i} (1 - prob[j])) / m``
-    recovers the input probabilities to rounding error.
-    """
+def build_alias(probs: np.ndarray) -> np.ndarray:
+    """Inverse-CDF table of a normalized distribution: its running sums ``c``.
+    Index ``i`` owns ``[c[i-1], c[i])`` (index 0 owns ``[0, c[0])``), so a
+    zero weight owns nothing.  The name is the one the benchmark wraps."""
     probs = np.asarray(probs, dtype=np.float64)
-    m = len(probs)
-    if m == 0:
-        raise EmptyDatasetError("cannot build an alias table for zero outcomes")
+    if len(probs) == 0:
+        raise EmptyDatasetError("cannot build a sampling table for zero outcomes")
     if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-        raise NumericError("alias table needs finite non-negative probabilities")
+        raise NumericError("sampling table needs finite non-negative probabilities")
     if abs(chunked_sum(probs) - 1.0) > 1e-9:
-        raise NumericError("alias table input must sum to 1 within 1e-9")
-
-    scaled = [p * m for p in probs.tolist()]
-    prob = np.ones(m, dtype=np.float64)
-    alias = np.arange(m, dtype=np.int64)
-    small = [i for i, p in enumerate(scaled) if p < 1.0]
-    large = [i for i, p in enumerate(scaled) if p >= 1.0]
-    while small and large:
-        lo = small.pop()
-        hi = large.pop()
-        prob[lo] = scaled[lo]
-        alias[lo] = hi
-        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-        if scaled[hi] < 1.0:
-            small.append(hi)
-        else:
-            large.append(hi)
-    # leftovers were never popped as ``lo``: they keep their initial prob 1, alias i
-    return AliasTable(prob=prob, alias=alias)
+        raise NumericError("sampling table input must sum to 1 within 1e-9")
+    return np.cumsum(probs)
 
 
-def sample_indices(table: AliasTable, n: int, rng: SplitMix64) -> np.ndarray:
-    """``n`` i.i.d. draws (with replacement) from the table's distribution.
-
-    Each draw consumes two uniforms: one to pick a slot, one for the coin
-    against the slot's alias.  Deterministic for a fixed rng state.
-    """
+def sample_indices(table: np.ndarray, n: int, rng: SplitMix64) -> np.ndarray:
+    """``n`` i.i.d. draws from a :func:`build_alias` table, one uniform ``u``
+    each: the index whose interval holds ``u * c[-1]``.  A value that rounds
+    up to ``c[-1]`` goes to the last index with positive weight, so a zero
+    weight is never drawn.  The name is the one the benchmark wraps."""
     if n < 1:
         raise ValueError("need at least one draw")
-    u = rng.uniform_block(2 * n)
-    slots = np.minimum((u[0::2] * table.size).astype(np.int64), table.size - 1)
-    take_alias = u[1::2] >= table.prob[slots]
-    return np.where(take_alias, table.alias[slots], slots)
+    picks = np.searchsorted(table, rng.uniform_block(n) * table[-1], side="right")
+    return np.minimum(picks, np.searchsorted(table, table[-1]))

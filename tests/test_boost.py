@@ -198,7 +198,49 @@ class TestEdge:
             oracle_edge, oracle_mmd = brute_force_edge(cache.margins, raw, labels, cand)
             assert report.edge == pytest.approx(oracle_edge, abs=1e-12)
             assert report.max_margin_diff == pytest.approx(oracle_mmd, abs=1e-15)
-            assert report.accepted == (report.edge < -0.1 and report.max_margin_diff <= 1.0)
+            assert report.accepted == (
+                report.edge < -0.1
+                and report.max_margin_diff <= 1.0
+                and report.candidate.potential <= cache.potential - 0.1
+            )
+
+    def test_margin_drop_that_raises_the_potential_is_rejected(self):
+        # weights 0.995 / 0.005; shifts d = (1, -11.6) give edge -0.1031 < -rho
+        # and max shift 1, yet the potential rises by about 6.30
+        raw = np.array([0.0, math.log(199.0)])
+        labels = np.array([1.0, 1.0])
+        cache = cache_from_scores(raw, labels)
+        cand = raw + np.array([1.0, -11.6])
+        report = edge(cache, cand, rho=0.1)
+        assert report.edge == pytest.approx(-0.1031, abs=1e-4)
+        assert report.max_margin_diff == 1.0
+        assert not report.accepted
+        after = math.log(math.exp(-cand[0]) + math.exp(-cand[1]))
+        assert report.candidate.potential == pytest.approx(after, abs=1e-12)
+        assert after - cache.potential == pytest.approx(6.30, abs=0.01)
+
+    def test_accepted_candidates_drop_the_potential_by_rho(self):
+        rng = SplitMix64(23)
+        accepted = 0
+        for _ in range(300):
+            m = 2 + int(rng.uniform() * 6)
+            raw = rng.normal_block(m) * 3.0
+            labels = np.where(rng.uniform_block(m) < 0.5, -1.0, 1.0)
+            # shifts up to 1 toward the label, and drops of up to 12 against it
+            shift = np.where(rng.uniform_block(m) < 0.7, rng.uniform_block(m), -12.0 * rng.uniform_block(m))
+            cand = raw + labels * shift
+            cache = cache_from_scores(raw, labels)
+            report = edge(cache, cand, rho=0.1)
+            if report.accepted:
+                accepted += 1
+                after = math.log(math.fsum(math.exp(-y * g) for y, g in zip(labels, cand)))
+                assert after <= cache.potential - 0.1 + 1e-12
+        assert accepted > 0
+
+    def test_non_finite_candidate_scores_raise(self):
+        cache = cache_from_scores(np.zeros(2), np.array([1.0, -1.0]))
+        with pytest.raises(NumericError):
+            edge(cache, np.array([0.5, np.inf]), rho=0.1)
 
     def test_violation_count(self):
         cache = cache_from_scores(np.zeros(3), np.array([1.0, 1.0, -1.0]))
@@ -350,7 +392,7 @@ class TestRunSelfieboost:
         monkeypatch.setattr(boost, "_forward_cached", counting_forward)
         monkeypatch.setattr(boost, "sgd_inner", checked_inner)
         result = run_selfieboost(dataset, cfg)
-        assert [r.retries_used for r in result.records] == [3, 2, 2, 2]
+        assert [r.retries_used for r in result.records] == [4, 2, 2, 2]
         assert len(aborts) == 4 and all(c < steps for c, steps in aborts)
 
     def test_acceptance_soundness_replay(self, small_data, small_config):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from selfieboost.errors import EmptyDatasetError, NumericError
 from selfieboost.sampling import (
-    AliasTable,
     SplitMix64,
     build_alias,
     chunked_sum,
@@ -159,32 +158,62 @@ class TestWeightsFromMargins:
             weights_from_margins(np.array([np.inf]))
 
 
-def reconstructed_probs(table: AliasTable) -> np.ndarray:
-    m = table.size
-    rec = table.prob.copy()
-    for j in range(m):
-        if table.alias[j] != j:
-            rec[table.alias[j]] += 1.0 - table.prob[j]
-    return rec / m
+class StubRng:
+    """Hands ``sample_indices`` chosen uniforms instead of random ones."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def uniform_block(self, count):
+        assert count == len(self.values)
+        return self.values
 
 
-class TestAliasTable:
-    def test_uniform_probs(self):
-        table = build_alias(np.full(5, 0.2))
-        np.testing.assert_array_equal(table.prob, np.ones(5))
+def below(x):
+    return float(np.nextafter(x, 0.0))
 
-    def test_concrete_reconstruction(self):
-        probs = np.array([0.25, 0.25, 0.5])
-        table = build_alias(probs)
-        np.testing.assert_allclose(reconstructed_probs(table), probs, atol=1e-12)
+
+TOP = 1.0 - 2.0**-53  # the largest uniform the generator produces
+
+
+class TestInverseCdfTable:
+    def test_table_is_the_running_sum(self):
+        np.testing.assert_array_equal(build_alias(np.array([0.25, 0.25, 0.5])), [0.25, 0.5, 1.0])
+
+    def test_boundary_values_map_to_their_owner(self):
+        # index i owns [c[i-1], c[i]) with c = (0.25, 0.5, 1.0); the last value,
+        # c[-1] itself, is beyond the generator and goes to the last index
+        table = build_alias(np.array([0.25, 0.25, 0.5]))
+        values = [0.0, below(0.25), 0.25, below(0.5), 0.5, below(1.0), TOP, 1.0]
+        draws = sample_indices(table, len(values), StubRng(values))
+        np.testing.assert_array_equal(draws, [0, 0, 1, 1, 2, 2, 2, 2])
+
+    @pytest.mark.parametrize(
+        "probs,expect",
+        [
+            ((0.5, 0.0, 0.5, 0.0), [0, 0, 2, 2, 2, 2]),
+            ((1.0, 0.0, 0.0), [0, 0, 0, 0, 0, 0]),
+            ((0.0, 0.5, 0.0, 0.5, 0.0), [1, 1, 3, 3, 3, 3]),
+        ],
+    )
+    def test_zero_weights_are_never_drawn(self, probs, expect):
+        table = build_alias(np.array(probs))
+        values = [0.0, below(0.5), 0.5, below(1.0), TOP, 1.0]
+        np.testing.assert_array_equal(sample_indices(table, len(values), StubRng(values)), expect)
 
     @settings(max_examples=80)
-    @given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=150))
-    def test_reconstruction_matches_input(self, raw):
-        probs = np.asarray(raw) / np.sum(raw)
-        probs = probs / chunked_sum(probs)
+    @given(st.lists(st.sampled_from([0.0, 1e-6, 0.3, 1.0, 7.0]), min_size=1, max_size=40))
+    def test_every_draw_lands_in_its_interval(self, raw):
+        if sum(raw) == 0:
+            raw = raw + [1.0]
+        probs = np.asarray(raw) / math.fsum(raw)
         table = build_alias(probs)
-        np.testing.assert_allclose(reconstructed_probs(table), probs, atol=1e-12)
+        values = np.concatenate([SplitMix64(len(raw)).uniform_block(200), [0.0, TOP]])
+        draws = sample_indices(table, len(values), StubRng(values))
+        x = values * table[-1]
+        lower = np.concatenate([[0.0], table])[draws]
+        assert np.all(probs[draws] > 0)
+        assert np.all((lower <= x) & (x < table[draws]))
 
     def test_rejects_bad_input(self):
         with pytest.raises(NumericError):
