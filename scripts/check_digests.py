@@ -56,6 +56,11 @@ COMMANDS = (
                "--hidden 8,8 --activation relu --init-scale 1 --sgd-steps 200 --lr 1e50 --seed 1"),
     ("adanum", "train --algo adaboost --data numdata.csv --out-model adanum.json --metrics adanum.csv "
                "--hidden 8,8 --activation relu --init-scale 1 --sgd-steps 200 --lr 1e50 --T 5 --seed 1"),
+    ("cmp", f"compare --data data.csv --out cmp.csv {README_TRAIN}"),
+    # 50 AdaBoost rounds, as in the perfbench ensemble workload
+    ("cmp8", "compare --data data8.csv --out cmp8.csv "
+             "--hidden 2 --sgd-steps 100 --T 50 --n 256 --lr 0.05 --batch 32 --seed 42"),
+    ("verify", "verify --metrics metrics.csv --m 2000"),
 )
 
 EVALS = (

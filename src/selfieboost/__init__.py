@@ -20,7 +20,6 @@ from .boost import (
     err,
     margins,
     mistakes,
-    potential,
     run_selfieboost,
     sgd_inner,
 )
@@ -28,7 +27,6 @@ from .baselines import (
     AdaBoostResult,
     CostReport,
     EnsembleModel,
-    WeakLearnerConfig,
     cost,
     ensemble_predict,
     run_adaboost,
@@ -57,7 +55,6 @@ from .sampling import (
     weights_from_margins,
 )
 from .verify import (
-    VirtualCandidate,
     iteration_count_for,
     lse_inequality_deficit,
     oracle_step,

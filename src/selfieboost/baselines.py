@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .boost import _initial_net, _sgd_loop, err
+from .boost import BoostConfig, _initial_net, _sgd_loop, err
 from .data import Dataset
 from .errors import ModelFormatError, ModelVersionError, NoWeakLearnerError, ShapeError
 from .nnet import (
@@ -31,6 +30,7 @@ from .nnet import (
 from .sampling import SplitMix64, build_alias, chunked_sum, derive_seed, sample_indices
 
 ENSEMBLE_FORMAT_VERSION = 1
+_CHECKPOINTS = 100  # plain SGD's trajectory points
 
 
 @dataclass(frozen=True)
@@ -62,19 +62,6 @@ class AdaBoostResult:
     rounds: tuple[AdaBoostRound, ...]
 
 
-@dataclass(frozen=True)
-class WeakLearnerConfig:
-    """Budget of one weak learner: architecture, SGD schedule, resample size."""
-
-    hidden: tuple[int, ...] = (32,)
-    activation: str = "tanh"
-    steps: int = 500
-    lr: float = 0.05
-    batch: int = 32
-    init_scale: float = 1.0
-    n: Optional[int] = None  # None -> min(m, 256)
-
-
 def _vote(scores: np.ndarray) -> np.ndarray:
     """Hard votes; a score of exactly 0 votes -1 (mistake convention)."""
     return np.where(np.asarray(scores) > 0.0, 1.0, -1.0)
@@ -104,58 +91,42 @@ def _hinge_sgd(
     steps: int,
     lr: float,
     batch: int,
-    init_scale: float,
     seed: int,
 ) -> FeedForwardNet:
-    """A net started as SelfieBoost starts, after ``steps`` hinge-SGD updates."""
-    net = _initial_net(arch, derive_seed(seed, 0), init_scale)
+    """A weak learner: a net drawn at scale 1, after ``steps`` hinge-SGD updates."""
+    net = _initial_net(arch, derive_seed(seed, 0), 1.0)
     _hinge_steps(net, data, steps, lr, batch, SplitMix64(derive_seed(seed, 1)))
     return net
 
 
-def run_adaboost(
-    data: Dataset,
-    weak_config: WeakLearnerConfig,
-    T: int,
-    seed: int,
-    weak_trainer: Callable[[Dataset, int], FeedForwardNet] | None = None,
-) -> AdaBoostResult:
+def run_adaboost(data: Dataset, config: BoostConfig) -> AdaBoostResult:
     """Classic exponential-reweighting boosting over resampled weak learners.
 
-    Per round: draw ``n`` indices from the current distribution, train a weak
-    net on them (``weak_trainer(subset, round_seed)``, by default hinge SGD
-    with the configured budget), measure its weighted error on the full set,
-    and stop early on a chance-or-worse learner (discarded) or on a perfect
-    one.  A perfect learner receives a vote larger than all previous votes
-    combined so the ensemble inherits its zero error.
+    Per round: draw ``config.n`` indices from the current distribution, train
+    a weak net on them by hinge SGD with SelfieBoost's architecture and
+    per-attempt SGD budget (``init_scale`` is ignored: weak learners start at
+    scale 1), measure its weighted error on the full set, and stop early on a
+    chance-or-worse learner (discarded) or on a perfect one.  A perfect
+    learner receives a vote larger than all previous votes combined so the
+    ensemble inherits its zero error.
     """
-    if T < 1:
+    if config.T < 1:
         raise ValueError("T must be >= 1")
-    arch = NetworkArchitecture(data.d, weak_config.hidden, weak_config.activation)
-    if weak_trainer is None:
-        def weak_trainer(subset: Dataset, round_seed: int) -> FeedForwardNet:
-            return _hinge_sgd(
-                subset,
-                arch,
-                weak_config.steps,
-                weak_config.lr,
-                weak_config.batch,
-                weak_config.init_scale,
-                round_seed,
-            )
-
-    n = weak_config.n if weak_config.n is not None else min(data.m, 256)
-    rng = SplitMix64(derive_seed(seed, 5))
+    arch = NetworkArchitecture(data.d, config.hidden, config.activation)
+    sgd = config.sgd
+    n = config.n if config.n is not None else min(data.m, 256)
+    rng = SplitMix64(derive_seed(config.seed, 5))
     dist = np.full(data.m, 1.0 / data.m)
     members: list[FeedForwardNet] = []
     alphas: list[float] = []
     rounds: list[AdaBoostRound] = []
     ensemble_votes = np.zeros(data.m)
 
-    for t in range(T):
+    for t in range(config.T):
         table = build_alias(dist)
         picked = sample_indices(table, n, rng)
-        weak = weak_trainer(data.subset(picked), derive_seed(seed, 100 + t))
+        weak = _hinge_sgd(data.subset(picked), arch, sgd.steps, sgd.lr, sgd.batch,
+                          derive_seed(config.seed, 100 + t))
         votes = _vote(forward_batch(weak, data.features))
         eps = chunked_sum(np.where(votes != data.labels, dist, 0.0))
         if eps >= 0.5:
@@ -220,29 +191,18 @@ class PlainSgdResult:
     trajectory: tuple[tuple[int, float], ...]  # (step, train_err) checkpoints
 
 
-def run_plain_sgd(
-    data: Dataset,
-    arch: NetworkArchitecture,
-    steps: int,
-    lr: float,
-    seed: int,
-    batch: int = 1,
-    init_scale: float = 1.0,
-    checkpoints: int = 100,
-) -> PlainSgdResult:
+def run_plain_sgd(data: Dataset, config: BoostConfig) -> PlainSgdResult:
     """Uniform-sampling hinge SGD control: one network, no boosting.
 
-    It starts from SelfieBoost's initial net.  ``lr=0`` leaves the parameters
-    untouched.  The training-error trajectory is recorded at roughly
-    ``checkpoints`` evenly spaced steps.
+    It starts from SelfieBoost's initial net and runs ``config.sgd.steps``
+    updates.  The training-error trajectory is recorded at roughly
+    ``_CHECKPOINTS`` evenly spaced steps.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
-    net = _initial_net(arch, derive_seed(seed, 0), init_scale)
-    rng = SplitMix64(derive_seed(seed, 1))
-    every = max(1, steps // max(1, checkpoints))
+    arch = NetworkArchitecture(data.d, config.hidden, config.activation)
+    steps, lr, batch = config.sgd.steps, config.sgd.lr, config.sgd.batch
+    net = _initial_net(arch, derive_seed(config.seed, 0), config.init_scale)
+    rng = SplitMix64(derive_seed(config.seed, 1))
+    every = max(1, steps // _CHECKPOINTS)
     trajectory = [(0, err(net, data))]
     for start in range(0, steps, every):
         stop = min(start + every, steps)

@@ -179,11 +179,6 @@ def margins(net: FeedForwardNet, data: Dataset, threads: int = 1) -> MarginCache
     return cache_from_scores(forward_batch(net, data.features, threads), data.labels)
 
 
-def potential(cache: MarginCache) -> float:
-    """``log(sum_i exp(-margin_i))``; upper-bounds the log mistake count."""
-    return cache.potential
-
-
 def mistakes_from_margins(margin_values: np.ndarray) -> int:
     """Margins at or below zero count as mistakes (boundary inclusive)."""
     return int(np.count_nonzero(np.asarray(margin_values) <= 0.0))

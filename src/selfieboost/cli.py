@@ -20,6 +20,7 @@ from . import baselines, boost, data as data_mod, verify
 from .boost import BoostConfig, IterationRecord, RetryPolicy, SgdParams
 from .errors import (
     ConfigError,
+    DatasetParseError,
     DegenerateTeacherError,
     NoWeakLearnerError,
     NumericError,
@@ -217,19 +218,19 @@ def read_metrics_csv(path: str) -> list[IterationRecord]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != METRICS_HEADER:
-        raise ValidationError(f"{path}: expected metrics header {METRICS_HEADER!r}")
+        raise DatasetParseError(f"{path}: expected metrics header {METRICS_HEADER!r}")
     types = [int if f.type == "int" else float for f in fields(IterationRecord)]
     records = []
     for row, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != len(types):
-            raise ValidationError(
+            raise DatasetParseError(
                 f"{path}: row {row} has {len(parts)} fields, expected {len(types)}"
             )
         try:
             records.append(IterationRecord(*(kind(part) for kind, part in zip(types, parts))))
         except ValueError as exc:
-            raise ValidationError(f"{path}: row {row}: {exc}") from exc
+            raise DatasetParseError(f"{path}: row {row}: {exc}") from exc
     return records
 
 
@@ -267,8 +268,7 @@ def cmd_train(args) -> int:
         )
         return EXIT_BREAK if result.stop_reason == boost.STOP_NO_CANDIDATE else EXIT_OK
     if cfg.algo == "adaboost":
-        weak = _weak_config(cfg.boost)
-        result = baselines.run_adaboost(dataset, weak, cfg.boost.T, cfg.boost.seed)
+        result = baselines.run_adaboost(dataset, cfg.boost)
         if cfg.metrics_path:
             rows = ((t, *astuple(rnd)) for t, rnd in enumerate(result.rounds, start=1))
             _write_csv(cfg.metrics_path, ADABOOST_HEADER, rows)
@@ -278,31 +278,13 @@ def cmd_train(args) -> int:
         print(f"rounds={len(result.rounds)} final_err={_fmt(result.rounds[-1].ensemble_err)}")
         return EXIT_OK
     # plain sgd
-    arch = NetworkArchitecture(dataset.d, cfg.boost.hidden, cfg.boost.activation)
-    result = baselines.run_plain_sgd(
-        dataset, arch, cfg.boost.sgd.steps, cfg.boost.sgd.lr, cfg.boost.seed,
-        batch=cfg.boost.sgd.batch, init_scale=cfg.boost.init_scale,
-    )
+    result = baselines.run_plain_sgd(dataset, cfg.boost)
     if cfg.metrics_path:
         _write_csv(cfg.metrics_path, SGD_HEADER, result.trajectory)
     if cfg.out_model:
         save_model(result.net, cfg.out_model)
     print(f"steps={cfg.boost.sgd.steps} final_err={_fmt(result.trajectory[-1][1])}")
     return EXIT_OK
-
-
-def _weak_config(cfg: BoostConfig) -> baselines.WeakLearnerConfig:
-    """Weak learners get the same architecture and per-round SGD budget, and
-    always start at scale 1: ``init_scale`` sets the single-network starts."""
-    return baselines.WeakLearnerConfig(
-        hidden=cfg.hidden,
-        activation=cfg.activation,
-        steps=cfg.sgd.steps,
-        lr=cfg.sgd.lr,
-        batch=cfg.sgd.batch,
-        init_scale=1.0,
-        n=cfg.n,
-    )
 
 
 def cmd_eval(args) -> int:
@@ -363,7 +345,7 @@ def cmd_compare(args) -> int:
     sb_err = boost.err(sb.final_net, dataset)
 
     t0 = time.perf_counter()
-    ada = baselines.run_adaboost(dataset, _weak_config(cfg.boost), cfg.boost.T, cfg.boost.seed)
+    ada = baselines.run_adaboost(dataset, cfg.boost)
     ada_ms = (time.perf_counter() - t0) * 1000.0 if args.wall_clock else 0.0
     ada_err = ada.rounds[-1].ensemble_err
     ada_evals = baselines.cost(ada.model).network_evals_per_prediction

@@ -30,7 +30,7 @@ class ModelVersionError(ModelFormatError):
 
 
 class DatasetParseError(SelfieBoostError, ValueError):
-    """A dataset file could not be parsed."""
+    """A dataset or metrics CSV file could not be parsed."""
 
 
 class DegenerateTeacherError(SelfieBoostError, RuntimeError):

@@ -32,13 +32,6 @@ GRAD_EPS = 1e-4  # finite-difference step of the grad suite
 
 
 @dataclass(frozen=True)
-class VirtualCandidate:
-    """A classifier given only by its scores on the sample; no network needed."""
-
-    scores: np.ndarray
-
-
-@dataclass(frozen=True)
 class SuiteReport:
     name: str
     instances: int
@@ -78,14 +71,14 @@ def lse_inequality_deficit(theta: np.ndarray, lam: np.ndarray) -> float:
     return rhs - logsumexp(lam)
 
 
-def oracle_step(cache: MarginCache, labels: np.ndarray) -> VirtualCandidate:
+def oracle_step(cache: MarginCache, labels: np.ndarray) -> np.ndarray:
     """The existence witness: scores moved by exactly one unit toward each label.
 
     Its edge is ``-1/2`` for every weight distribution (the linear and
     quadratic terms contribute ``-1`` and ``+1/2`` per unit of probability),
     and its max margin shift is exactly 1.
     """
-    return VirtualCandidate(scores=cache.raw_scores + np.asarray(labels, dtype=np.float64))
+    return cache.raw_scores + np.asarray(labels, dtype=np.float64)
 
 
 def theorem_bound_check(
@@ -188,8 +181,8 @@ def lemma_suite(trials: int = 100, seed: int = 0) -> SuiteReport:
             )
             cache = boost.margins(learner, dataset)
             clipped = np.clip(forward_batch(teacher, dataset.features), -1.0, 1.0)
-            step = VirtualCandidate(scores=cache.raw_scores + clipped)
-        report: EdgeReport = boost.edge(cache, step.scores, rho=0.1)
+            step = cache.raw_scores + clipped
+        report: EdgeReport = boost.edge(cache, step, rho=0.1)
         worst = max(worst, abs(report.edge + 0.5), abs(report.max_margin_diff - 1.0))
     return SuiteReport("lemma", trials, worst, worst <= ALGEBRAIC_TOL)
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from selfieboost.baselines import WeakLearnerConfig, cost, ensemble_err, run_adaboost
-from selfieboost.boost import cache_from_scores, edge
+from selfieboost.baselines import cost, ensemble_err, run_adaboost
+from selfieboost.boost import BoostConfig, SgdParams, cache_from_scores, edge
 from selfieboost.cli import EXIT_BREAK, EXIT_OK, main, read_metrics_csv
 from selfieboost.data import load_csv
 from selfieboost.nnet import NetworkArchitecture, forward_batch, grad_check, init_network, widen
@@ -117,7 +117,7 @@ def test_c3_lemma_oracle():
         labels = np.where(rng.uniform_block(m) < 0.5, -1.0, 1.0)
         cache = cache_from_scores(forward_batch(net, features), labels)
         step = oracle_step(cache, labels)
-        rep = edge(cache, step.scores, rho=0.1)
+        rep = edge(cache, step, rho=0.1)
         if abs(rep.edge + 0.5) > 1e-12:
             failures.append(f"trial {trial}: edge {rep.edge!r}")
         if abs(rep.max_margin_diff - 1.0) > 1e-12:
@@ -187,8 +187,8 @@ def test_c7_adaboost_consistency(end_to_end):
     """Recorded run satisfies the error product bound; compare table costs."""
     failures = []
     dataset = load_csv(end_to_end.root / "data.csv")
-    weak = WeakLearnerConfig(hidden=(32,), steps=500, lr=0.05, batch=32, n=256)
-    result = run_adaboost(dataset, weak, T=50, seed=42)
+    config = BoostConfig(hidden=(32,), sgd=SgdParams(500, 0.05, 32), n=256, T=50, seed=42)
+    result = run_adaboost(dataset, config)
     bound = 1.0
     for rnd in result.rounds:
         bound *= 2.0 * math.sqrt(rnd.eps * (1.0 - rnd.eps))

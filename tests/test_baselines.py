@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from selfieboost import baselines
 from selfieboost.baselines import (
     EnsembleModel,
-    WeakLearnerConfig,
+    _hinge_steps,
     cost,
     ensemble_err,
     ensemble_predict,
@@ -14,7 +15,7 @@ from selfieboost.baselines import (
     run_plain_sgd,
     save_ensemble,
 )
-from selfieboost.boost import _initial_net
+from selfieboost.boost import BoostConfig, SgdParams, _initial_net
 from selfieboost.data import Dataset, gen_realizable
 from selfieboost.errors import ModelVersionError, NoWeakLearnerError
 from selfieboost.nnet import (
@@ -46,19 +47,20 @@ def curved_data():
     return dataset
 
 
-WEAK_LINEAR = WeakLearnerConfig(hidden=(), steps=200, lr=0.05, batch=8, n=64)
+def weak_linear(T, seed):
+    return BoostConfig(hidden=(), sgd=SgdParams(200, 0.05, 8), n=64, T=T, seed=seed)
 
 
 class TestRunAdaBoost:
     def test_perfect_weak_learner_one_round(self, easy_data):
-        weak = WeakLearnerConfig(hidden=(16,), steps=400, lr=0.05, batch=16, n=128)
-        result = run_adaboost(easy_data, weak, T=1, seed=5)
+        config = BoostConfig(hidden=(16,), sgd=SgdParams(400, 0.05, 16), n=128, T=1, seed=5)
+        result = run_adaboost(easy_data, config)
         assert len(result.model.members) == 1
         assert ensemble_err(result.model, easy_data) == 0.0
 
     def test_product_bound_on_recorded_run(self, curved_data):
         # linear weak learners cannot be perfect on this teacher's data
-        result = run_adaboost(curved_data, WEAK_LINEAR, T=12, seed=2)
+        result = run_adaboost(curved_data, weak_linear(T=12, seed=2))
         bound = 1.0
         for rnd in result.rounds:
             bound *= 2.0 * math.sqrt(rnd.eps * (1.0 - rnd.eps))
@@ -69,28 +71,26 @@ class TestRunAdaBoost:
     def test_recorded_ensemble_err_matches_model(self, curved_data):
         # train prints rounds[-1].ensemble_err as the ensemble's final error,
         # both for a run that ends at T and for one stopped by a chance learner
-        result = run_adaboost(curved_data, WEAK_LINEAR, T=6, seed=2)
+        result = run_adaboost(curved_data, weak_linear(T=6, seed=2))
         assert len(result.rounds) == 6
         assert result.rounds[-1].ensemble_err == ensemble_err(result.model, curved_data)
         readme, _ = gen_realizable(2000, 10, NetworkArchitecture(10, (4,)), 0.1, 42)
-        result = run_adaboost(readme, WeakLearnerConfig(hidden=(2,), steps=5), T=50, seed=42)
+        config = BoostConfig(hidden=(2,), sgd=SgdParams(steps=5), T=50, seed=42)
+        result = run_adaboost(readme, config)
         assert len(result.rounds) == 2 and result.rounds[-1].eps > 0.0
         assert result.rounds[-1].ensemble_err == ensemble_err(result.model, readme)
 
-    def test_chance_learner_discarded_and_run_errors(self):
+    def test_chance_learner_discarded_and_run_errors(self, monkeypatch):
         # the injected learner is right on one example, wrong on the other
         dataset = Dataset(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
         fixed = linear_net([1.0])
-
-        def trainer(subset, seed):
-            return fixed
-
+        monkeypatch.setattr(baselines, "_hinge_sgd", lambda *args: fixed)
         with pytest.raises(NoWeakLearnerError):
-            run_adaboost(dataset, WeakLearnerConfig(hidden=()), T=1, seed=0, weak_trainer=trainer)
+            run_adaboost(dataset, BoostConfig(hidden=(), T=1, seed=0))
 
     def test_deterministic(self, curved_data):
-        a = run_adaboost(curved_data, WEAK_LINEAR, T=5, seed=9)
-        b = run_adaboost(curved_data, WEAK_LINEAR, T=5, seed=9)
+        a = run_adaboost(curved_data, weak_linear(T=5, seed=9))
+        b = run_adaboost(curved_data, weak_linear(T=5, seed=9))
         assert a.rounds == b.rounds
 
 
@@ -122,27 +122,28 @@ class TestEnsemblePredict:
 
 class TestPlainSgd:
     def test_zero_steps_returns_initial_net(self, easy_data):
-        arch = NetworkArchitecture(4, (3,))
-        result = run_plain_sgd(easy_data, arch, steps=0, lr=0.1, seed=4)
-        reference = init_network(arch, derive_seed(4, 0), 1.0)
+        config = BoostConfig(hidden=(3,), sgd=SgdParams(0, 0.1), seed=4, init_scale=1.0)
+        result = run_plain_sgd(easy_data, config)
+        reference = init_network(NetworkArchitecture(4, (3,)), derive_seed(4, 0), 1.0)
         for a, b in zip(result.net.weights, reference.weights):
             np.testing.assert_array_equal(a, b)
         assert result.trajectory[0][0] == 0
 
     def test_zero_init_scale_starts_where_selfieboost_starts(self, easy_data):
-        arch = NetworkArchitecture(4, (3,))
-        start = run_plain_sgd(easy_data, arch, steps=0, lr=0.1, seed=4, init_scale=0.0).net
-        reference = _initial_net(arch, derive_seed(4, 0), 0.0)
+        start = run_plain_sgd(easy_data, BoostConfig(hidden=(3,), sgd=SgdParams(0, 0.1), seed=4)).net
+        reference = _initial_net(NetworkArchitecture(4, (3,)), derive_seed(4, 0), 0.0)
         for a, b in zip(start.weights + start.biases, reference.weights + reference.biases):
             assert a.tobytes() == b.tobytes()
-        trained = run_plain_sgd(easy_data, arch, steps=50, lr=0.1, seed=4, init_scale=0.0).net
+        config = BoostConfig(hidden=(3,), sgd=SgdParams(50, 0.1, 1), seed=4)
+        trained = run_plain_sgd(easy_data, config).net
         assert trained.weights[0].tobytes() != start.weights[0].tobytes()
 
     def test_zero_lr_changes_nothing(self, easy_data):
         arch = NetworkArchitecture(4, (3,))
-        moved = run_plain_sgd(easy_data, arch, steps=25, lr=0.0, seed=4)
-        frozen = run_plain_sgd(easy_data, arch, steps=0, lr=0.5, seed=4)
-        for a, b in zip(moved.net.weights, frozen.net.weights):
+        moved = init_network(arch, derive_seed(4, 0), 1.0)
+        _hinge_steps(moved, easy_data, 25, 0.0, 1, SplitMix64(derive_seed(4, 1)))
+        frozen = init_network(arch, derive_seed(4, 0), 1.0)
+        for a, b in zip(moved.weights + moved.biases, frozen.weights + frozen.biases):
             np.testing.assert_array_equal(a, b)
 
     def test_separable_linear_problem_reaches_zero_error(self):
@@ -152,13 +153,13 @@ class TestPlainSgd:
         y = np.where(X @ w_true > 0, 1.0, -1.0)
         X = X + 0.3 * y[:, None] * w_true / np.linalg.norm(w_true)  # widen the gap
         dataset = Dataset(X, y)
-        result = run_plain_sgd(dataset, NetworkArchitecture(2, ()), steps=10_000,
-                               lr=0.05, seed=1, init_scale=0.0)
+        config = BoostConfig(hidden=(), sgd=SgdParams(10_000, 0.05, 1), seed=1)
+        result = run_plain_sgd(dataset, config)
         assert result.trajectory[-1][1] == 0.0
 
     def test_trajectory_is_recorded(self, easy_data):
-        result = run_plain_sgd(easy_data, NetworkArchitecture(4, (3,)), steps=50,
-                               lr=0.05, seed=4, checkpoints=10)
+        config = BoostConfig(hidden=(3,), sgd=SgdParams(50, 0.05, 1), seed=4, init_scale=1.0)
+        result = run_plain_sgd(easy_data, config)
         steps = [s for s, _ in result.trajectory]
         assert steps[0] == 0 and steps[-1] == 50
         assert all(0.0 <= e <= 1.0 for _, e in result.trajectory)
@@ -166,7 +167,7 @@ class TestPlainSgd:
 
 class TestEnsembleIO:
     def test_round_trip(self, tmp_path, curved_data):
-        model = run_adaboost(curved_data, WEAK_LINEAR, T=3, seed=9).model
+        model = run_adaboost(curved_data, weak_linear(T=3, seed=9)).model
         path = tmp_path / "ensemble.json"
         save_ensemble(model, path)
         loaded = load_ensemble(path)

@@ -12,6 +12,7 @@ from selfieboost.baselines import (
     ensemble_predict_batch,
     run_plain_sgd,
 )
+from selfieboost.boost import BoostConfig, SgdParams
 from selfieboost.data import gen_realizable
 from selfieboost.errors import ModelFormatError, ShapeError
 from selfieboost.nnet import (
@@ -32,11 +33,11 @@ def data():
 
 
 def test_plain_sgd_net_equals_hinge_sgd_bitwise(data):
-    arch = NetworkArchitecture(4, (6,))
-    steps = 37  # checkpoints every 7 steps: the last segment is 2 steps long
-    plain = run_plain_sgd(data, arch, steps, 0.05, seed=8, batch=4, checkpoints=5)
-    single = _hinge_sgd(data, arch, steps, 0.05, 4, 1.0, 8)
-    assert [s for s, _ in plain.trajectory] == [0, 7, 14, 21, 28, 35, 37]
+    steps = 237  # checkpoints every 2 steps: the last segment is 1 step long
+    config = BoostConfig(hidden=(6,), sgd=SgdParams(steps, 0.05, 4), seed=8, init_scale=1.0)
+    plain = run_plain_sgd(data, config)
+    single = _hinge_sgd(data, NetworkArchitecture(4, (6,)), steps, 0.05, 4, 8)
+    assert [s for s, _ in plain.trajectory] == [*range(0, steps, 2), steps]
     for a, b in zip(plain.net.weights + plain.net.biases, single.weights + single.biases):
         assert a.tobytes() == b.tobytes()
 

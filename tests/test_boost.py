@@ -16,7 +16,6 @@ from selfieboost.boost import (
     err,
     margins,
     mistakes,
-    potential,
     run_selfieboost,
     sgd_inner,
     surrogate_loss,
@@ -88,11 +87,11 @@ class TestMarginCache:
 class TestPotential:
     def test_zero_function_is_log_m(self):
         cache = cache_from_scores(np.zeros(8), np.ones(8))
-        assert potential(cache) == pytest.approx(math.log(8), abs=1e-12)
+        assert cache.potential == pytest.approx(math.log(8), abs=1e-12)
 
     def test_large_margins_stay_finite(self):
         cache = cache_from_scores(np.array([1000.0, 1000.0]), np.ones(2))
-        assert potential(cache) == pytest.approx(-1000.0 + math.log(2.0), abs=1e-9)
+        assert cache.potential == pytest.approx(-1000.0 + math.log(2.0), abs=1e-9)
 
     def test_upper_bounds_log_mistakes(self):
         rng = SplitMix64(31)

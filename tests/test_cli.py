@@ -157,14 +157,20 @@ class TestTrain:
         capsys.readouterr()
 
     def test_adaboost_and_sgd_algos(self, workdir, tmp_path, capsys):
-        code = main([
-            "train", "--data", str(workdir / "data.csv"), "--algo", "adaboost",
-            "--out-model", str(tmp_path / "ens.json"), "--metrics", str(tmp_path / "ada.csv"),
-            "--T", "3", "--hidden", "8", "--sgd-steps", "200", "--n", "64", "--seed", "2",
-        ])
-        assert code == EXIT_OK
-        assert (tmp_path / "ada.csv").read_text().startswith("t,eps,alpha,ensemble_err\n")
-        obj = json.loads((tmp_path / "ens.json").read_text())
+        # AdaBoost ignores --init-scale: its weak learners always start at scale 1
+        outputs = []
+        for scale in ("0", "0.5"):
+            ens, ada = tmp_path / f"ens{scale}.json", tmp_path / f"ada{scale}.csv"
+            code = main([
+                "train", "--data", str(workdir / "data.csv"), "--algo", "adaboost",
+                "--out-model", str(ens), "--metrics", str(ada), "--init-scale", scale,
+                "--T", "3", "--hidden", "8", "--sgd-steps", "200", "--n", "64", "--seed", "2",
+            ])
+            assert code == EXIT_OK
+            outputs.append((ens.read_bytes(), ada.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert (tmp_path / "ada0.csv").read_text().startswith("t,eps,alpha,ensemble_err\n")
+        obj = json.loads((tmp_path / "ens0.json").read_text())
         assert "members" in obj and len(obj["members"]) >= 1
 
         code = main([

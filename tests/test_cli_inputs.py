@@ -176,6 +176,19 @@ def test_bound_suite_rejects_m_below_one(tmp_path, capsys):
     assert "--m" in err
 
 
+@pytest.mark.parametrize("text", [
+    "t,edge\n",
+    METRICS_HEADER + "\n1,-0.2,0.5\n",
+    METRICS_HEADER + "\n1,x,0.5,0.25,0.5,5,0,500,32,0.0\n",
+], ids=["header", "field-count", "non-numeric"])
+def test_malformed_metrics_csv_is_malformed_input(tmp_path, capsys, text):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(text)
+    code = main(["verify", "--suite", "bound", "--metrics", str(metrics), "--m", "10"])
+    assert code == EXIT_IO
+    assert_one_error_line(capsys.readouterr().err)
+
+
 def test_bound_suite_starts_from_recorded_potential(tmp_path, capsys):
     # a start above log m: 95 mistakes exceed exp(log 100 - 0.1) but not
     # exp(potential_before - 0.1)

@@ -76,7 +76,7 @@ class TestOracleStep:
             labels = np.where(rng.uniform_block(m) < 0.5, -1.0, 1.0)
             cache = cache_from_scores(raw, labels)
             step = oracle_step(cache, labels)
-            report = edge(cache, step.scores, rho=0.1)
+            report = edge(cache, step, rho=0.1)
             assert report.edge == pytest.approx(-0.5, abs=1e-12)
             assert report.max_margin_diff == pytest.approx(1.0, abs=1e-12)
 
@@ -84,7 +84,7 @@ class TestOracleStep:
         raw = np.array([0.5, -2.0, 1.25])
         labels = np.array([1.0, -1.0, -1.0])
         cache = cache_from_scores(raw, labels)
-        report = edge(cache, oracle_step(cache, labels).scores, rho=0.2)
+        report = edge(cache, oracle_step(cache, labels), rho=0.2)
         assert report.max_margin_diff == 1.0
         assert report.accepted
 
