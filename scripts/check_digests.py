@@ -61,6 +61,10 @@ COMMANDS = (
     ("cmp8", "compare --data data8.csv --out cmp8.csv "
              "--hidden 2 --sgd-steps 100 --T 50 --n 256 --lr 0.05 --batch 32 --seed 42"),
     ("verify", "verify --metrics metrics.csv --m 2000"),
+    # non-finite options and a rho that train rejects: exit 64 before any work
+    ("growinf", f"train --data data.csv --out-model growinf.json --metrics growinf.csv {README_TRAIN} "
+                "--sgd-growth inf"),
+    ("verifyrho", "verify --metrics metrics.csv --m 2000 --rho -1"),
 )
 
 EVALS = (

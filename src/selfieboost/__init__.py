@@ -19,7 +19,6 @@ from .boost import (
     edge,
     err,
     margins,
-    mistakes,
     run_selfieboost,
     sgd_inner,
 )
@@ -28,7 +27,6 @@ from .baselines import (
     CostReport,
     EnsembleModel,
     cost,
-    ensemble_predict,
     run_adaboost,
     run_plain_sgd,
 )
@@ -49,7 +47,6 @@ from .nnet import (
 )
 from .sampling import (
     SplitMix64,
-    WeightTable,
     build_alias,
     sample_indices,
     weights_from_margins,

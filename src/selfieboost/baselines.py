@@ -158,12 +158,8 @@ def _vote_sum_sign(total: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(total) >= 0.0, 1.0, -1.0)
 
 
-def ensemble_predict(model: EnsembleModel, x: np.ndarray) -> int:
-    """Weighted-majority vote for one input vector; ties go to +1."""
-    return int(ensemble_predict_batch(model, np.asarray(x, dtype=np.float64)[None])[0])
-
-
 def ensemble_predict_batch(model: EnsembleModel, features: np.ndarray) -> np.ndarray:
+    """Weighted-majority vote for each row of ``features``; ties go to +1."""
     if not model.members:
         raise ValueError("empty ensemble")
     total = np.zeros(features.shape[0])

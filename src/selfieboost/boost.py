@@ -10,6 +10,7 @@ least ``rho``, which is what drives training error to ``exp(-rho * iterations)``
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from .nnet import (
 )
 from .sampling import (
     SplitMix64,
-    WeightTable,
     build_alias,
     chunked_sum,
     derive_seed,
@@ -53,8 +53,8 @@ class SgdParams:
     def __post_init__(self):
         if self.steps < 0:
             raise ConfigError("sgd.steps must be >= 0")
-        if self.lr <= 0:
-            raise ConfigError("sgd.lr must be > 0")
+        if not 0 < self.lr <= sys.float_info.max:  # also rejects nan and inf
+            raise ConfigError(f"sgd.lr must be a finite number > 0, got {self.lr}")
         if self.batch < 1:
             raise ConfigError("sgd.batch must be >= 1")
 
@@ -72,8 +72,8 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_retries < 0:
             raise ConfigError("retry.max_retries must be >= 0")
-        if self.sgd_growth < 1:
-            raise ConfigError("retry.sgd_growth must be >= 1")
+        if not 1 <= self.sgd_growth <= sys.float_info.max:
+            raise ConfigError(f"retry.sgd_growth must be a finite number >= 1, got {self.sgd_growth}")
         if self.widen_units < 0:
             raise ConfigError("retry.widen_units must be >= 0")
         if not 0 < self.lr_shrink <= 1:
@@ -104,8 +104,8 @@ class BoostConfig:
             raise ConfigError("T must be >= 0")
         if self.n is not None and self.n < 1:
             raise ConfigError("n must be >= 1")
-        if self.init_scale < 0:
-            raise ConfigError("init_scale must be >= 0")
+        if not 0 <= self.init_scale <= sys.float_info.max:
+            raise ConfigError(f"init_scale must be a finite number >= 0, got {self.init_scale}")
         # architecture validity (raises ValueError with a clear message)
         try:
             NetworkArchitecture(1, self.hidden, self.activation)
@@ -117,13 +117,16 @@ class BoostConfig:
 
 @dataclass(frozen=True)
 class MarginCache:
-    """Per-example state of the current network, computed once per iteration."""
+    """Per-example state of the current network, computed once per iteration:
+    the resampling weights ``probs``, the potential ``log(sum(exp(-margins)))``
+    and the number of margins at or below zero."""
 
     margins: np.ndarray
     raw_scores: np.ndarray
     labels: np.ndarray
-    weights: WeightTable
+    probs: np.ndarray
     potential: float
+    mistakes: int
 
 
 @dataclass(frozen=True)
@@ -158,42 +161,35 @@ class TrainResult:
 
 
 def cache_from_scores(raw_scores: np.ndarray, labels: np.ndarray) -> MarginCache:
-    """Margins, resampling weights and potential from precomputed scores."""
+    """Margins, resampling weights, potential and mistakes from precomputed scores."""
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if raw_scores.shape != labels.shape:
         raise ShapeError("scores and labels must have equal length")
     margins = labels * raw_scores
-    table = weights_from_margins(margins)
+    probs, potential = weights_from_margins(margins)
     return MarginCache(
         margins=margins,
         raw_scores=raw_scores,
         labels=labels,
-        weights=table,
-        potential=table.normalizer_log,
+        probs=probs,
+        potential=potential,
+        mistakes=int(np.count_nonzero(margins <= 0.0)),  # the boundary counts as a mistake
     )
 
 
 def margins(net: FeedForwardNet, data: Dataset, threads: int = 1) -> MarginCache:
-    """One forward sweep over the dataset, cached for the whole iteration."""
-    return cache_from_scores(forward_batch(net, data.features, threads), data.labels)
-
-
-def mistakes_from_margins(margin_values: np.ndarray) -> int:
-    """Margins at or below zero count as mistakes (boundary inclusive)."""
-    return int(np.count_nonzero(np.asarray(margin_values) <= 0.0))
-
-
-def mistakes(net: FeedForwardNet, data: Dataset) -> int:
-    with np.errstate(all="ignore"):
-        scores = forward_batch(net, data.features)
+    """One forward sweep over the dataset: the one way to score a net on it.
+    Non-finite scores raise :class:`NumericError`."""
+    with np.errstate(all="ignore"):  # overflow surfaces in the check below
+        scores = forward_batch(net, data.features, threads)
     if not np.isfinite(scores).all():
         raise NumericError("network scores are non-finite")
-    return mistakes_from_margins(data.labels * scores)
+    return cache_from_scores(scores, data.labels)
 
 
 def err(net: FeedForwardNet, data: Dataset) -> float:
-    return mistakes(net, data) / data.m
+    return margins(net, data).mistakes / data.m
 
 
 def surrogate_loss(labels: np.ndarray, snapshot: np.ndarray, candidate: np.ndarray) -> np.ndarray:
@@ -291,7 +287,7 @@ def edge(cache: MarginCache, candidate_scores: np.ndarray, rho: float = 0.1) -> 
         raise ShapeError("candidate scores length must match the cache")
     candidate = cache_from_scores(candidate_scores, cache.labels)
     d = cache.labels * (candidate_scores - cache.raw_scores)
-    terms = cache.weights.probs * (-d + 0.5 * d * d)
+    terms = cache.probs * (-d + 0.5 * d * d)
     value = chunked_sum(terms)
     max_diff = float(np.max(d))
     violations = int(np.count_nonzero(d > 1.0))
@@ -357,11 +353,11 @@ def run_selfieboost(
     cache = cache_from_scores(forward_batch(net, data.features, threads), data.labels)
 
     for t in range(1, config.T + 1):
-        if mistakes_from_margins(cache.margins) == 0:
+        if cache.mistakes == 0:
             stop_reason = STOP_ZERO_ERROR
             break
         started = time.perf_counter()
-        table = build_alias(cache.weights.probs)
+        table = build_alias(cache.probs)
         cur_steps = config.sgd.steps
         cur_lr = config.sgd.lr
         cur_widen = 0
@@ -396,7 +392,6 @@ def run_selfieboost(
             stop_reason = STOP_NO_CANDIDATE
             break
         net = candidate
-        n_wrong = mistakes_from_margins(report.candidate.margins)
         elapsed_ms = (time.perf_counter() - started) * 1000.0 if measure_time else 0.0
         records.append(
             IterationRecord(
@@ -404,8 +399,8 @@ def run_selfieboost(
                 edge=report.edge,
                 potential_before=cache.potential,
                 potential_after=report.candidate.potential,
-                train_err=n_wrong / data.m,
-                mistakes=n_wrong,
+                train_err=report.candidate.mistakes / data.m,
+                mistakes=report.candidate.mistakes,
                 retries_used=attempt,
                 sgd_steps_used=cur_steps,
                 widened_to=net.architecture.hidden_layers[-1] if net.architecture.hidden_layers else 0,

@@ -215,13 +215,15 @@ def _write_csv(path: str | None, header: str, rows) -> None:
 
 
 def read_metrics_csv(path: str) -> list[IterationRecord]:
+    """Parse a selfieboost metrics file.  Blank lines are skipped; an error
+    names a row by its line number in the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != METRICS_HEADER:
+        lines = [(row, line.strip()) for row, line in enumerate(fh, start=1) if line.strip()]
+    if not lines or lines[0][1] != METRICS_HEADER:
         raise DatasetParseError(f"{path}: expected metrics header {METRICS_HEADER!r}")
     types = [int if f.type == "int" else float for f in fields(IterationRecord)]
     records = []
-    for row, line in enumerate(lines[1:], start=2):
+    for row, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(types):
             raise DatasetParseError(
@@ -305,9 +307,8 @@ def cmd_eval(args) -> int:
         )
         return EXIT_OK
     cache = boost.margins(model, dataset)
-    n_wrong = boost.mistakes_from_margins(cache.margins)
     print(
-        f"err={_fmt(n_wrong / dataset.m)} mistakes={n_wrong} "
+        f"err={_fmt(cache.mistakes / dataset.m)} mistakes={cache.mistakes} "
         f"potential={_fmt(cache.potential)} evals_per_prediction=1 "
         f"params_evaluated={model.param_count}"
     )
@@ -316,6 +317,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = {"lse": verify.lse_suite, "lemma": verify.lemma_suite, "grad": verify.grad_suite}
+    BoostConfig(rho=args.rho)  # a rho that train rejects raises its ConfigError here
     names = [*suites, *(["bound"] if args.metrics else [])] if args.suite == "all" else [args.suite]
     if "bound" in names:
         if not args.metrics or args.m is None:
@@ -354,7 +356,7 @@ def cmd_compare(args) -> int:
         ("selfieboost", sb_err, sb.accepted_count, 1, sb_ms),
         ("adaboost", ada_err, len(ada.model.members), ada_evals, ada_ms),
     ])
-    return EXIT_OK
+    return EXIT_BREAK if sb.stop_reason == boost.STOP_NO_CANDIDATE else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ under it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,8 +79,8 @@ def gen_realizable(
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    if not 0 < tau <= sys.float_info.max:  # also rejects nan and inf
+        raise ValueError(f"tau must be a finite number > 0, got {tau}")
     if teacher_arch.input_dim != d:
         raise ValueError(f"teacher input_dim {teacher_arch.input_dim} != d {d}")
     if m < 1:

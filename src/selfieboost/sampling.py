@@ -6,8 +6,6 @@ is reproducible bit for bit from a single integer seed on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyDatasetError, NumericError
@@ -104,35 +102,9 @@ def chunked_sum(values: np.ndarray) -> float:
     return total
 
 
-def logsumexp(values: np.ndarray) -> float:
-    """Stable ``log(sum(exp(values)))`` using the shift-by-max trick."""
-    values = np.asarray(values, dtype=np.float64)
-    hi = float(np.max(values))
-    return hi + np.log(chunked_sum(np.exp(values - hi)))
-
-
-def softmax(values: np.ndarray) -> np.ndarray:
-    """Stable ``exp(values) / sum(exp(values))``."""
-    values = np.asarray(values, dtype=np.float64)
-    shifted = np.exp(values - np.max(values))
-    return shifted / chunked_sum(shifted)
-
-
-@dataclass(frozen=True)
-class WeightTable:
-    """Example distribution proportional to ``exp(-margin)``.
-
-    ``probs`` is the normalized distribution and ``normalizer_log`` equals
-    ``log(sum(exp(-margins)))``, which downstream code uses as the
-    log-sum-exp potential of the current network.
-    """
-
-    probs: np.ndarray
-    normalizer_log: float
-
-
-def weights_from_margins(margins: np.ndarray) -> WeightTable:
-    """Build the resampling distribution ``D_i ∝ exp(-margin_i)``."""
+def weights_from_margins(margins: np.ndarray) -> tuple[np.ndarray, float]:
+    """The resampling distribution ``D_i ∝ exp(-margin_i)`` and its log
+    normalizer ``log(sum(exp(-margins)))``, the log-sum-exp potential."""
     margins = np.asarray(margins, dtype=np.float64)
     if margins.size == 0:
         raise EmptyDatasetError("cannot weight an empty margin vector")
@@ -142,10 +114,7 @@ def weights_from_margins(margins: np.ndarray) -> WeightTable:
     hi = float(np.max(neg))
     unnorm = np.exp(neg - hi)
     total = chunked_sum(unnorm)
-    return WeightTable(
-        probs=unnorm / total,
-        normalizer_log=hi + float(np.log(total)),
-    )
+    return unnorm / total, hi + float(np.log(total))
 
 
 def build_alias(probs: np.ndarray) -> np.ndarray:

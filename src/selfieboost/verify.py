@@ -23,7 +23,7 @@ from .boost import EdgeReport, IterationRecord, MarginCache
 from .data import gen_realizable
 from .errors import DomainError, ValidationError
 from .nnet import NetworkArchitecture, forward_batch, grad_check, init_network
-from .sampling import SplitMix64, chunked_sum, derive_seed, logsumexp, softmax
+from .sampling import SplitMix64, chunked_sum, derive_seed, weights_from_margins
 
 ALGEBRAIC_TOL = 1e-12  # identities
 CHAIN_TOL = 1e-9  # inequalities chained through log-sum-exp arithmetic
@@ -47,7 +47,7 @@ def lse_inequality_deficit(theta: np.ndarray, lam: np.ndarray) -> float:
         log(sum e^lam) <= log(sum e^theta) + sum p_i (lam_i - theta_i)
                           + (1/2) sum p_i (lam_i - theta_i)^2
 
-    with ``p = softmax(theta)``.  Defined only where
+    with ``p_i = e^theta_i / sum_j e^theta_j``.  Defined only where
     ``max_i (theta_i - lam_i) <= 1``; callers outside that region get a
     :class:`DomainError` because the bound is not claimed there.
 
@@ -66,9 +66,10 @@ def lse_inequality_deficit(theta: np.ndarray, lam: np.ndarray) -> float:
     diff = lam - theta
     if float(np.max(-diff)) > 1.0:
         raise DomainError("bound requires theta_i - lambda_i <= 1 for all i")
-    p = softmax(theta)
-    rhs = logsumexp(theta) + chunked_sum(p * diff) + 0.5 * chunked_sum(p * diff * diff)
-    return rhs - logsumexp(lam)
+    # margins -theta weigh example i by p_i, with normalizer log(sum e^theta)
+    p, lse_theta = weights_from_margins(-theta)
+    rhs = lse_theta + chunked_sum(p * diff) + 0.5 * chunked_sum(p * diff * diff)
+    return rhs - weights_from_margins(-lam)[1]
 
 
 def oracle_step(cache: MarginCache, labels: np.ndarray) -> np.ndarray:

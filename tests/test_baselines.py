@@ -9,7 +9,7 @@ from selfieboost.baselines import (
     _hinge_steps,
     cost,
     ensemble_err,
-    ensemble_predict,
+    ensemble_predict_batch,
     load_ensemble,
     run_adaboost,
     run_plain_sgd,
@@ -97,20 +97,20 @@ class TestRunAdaBoost:
 class TestEnsemblePredict:
     def test_single_member_is_its_sign(self):
         model = EnsembleModel(members=(linear_net([1.0]),), alphas=(0.7,))
-        assert ensemble_predict(model, np.array([2.0])) == 1
-        assert ensemble_predict(model, np.array([-2.0])) == -1
+        assert ensemble_predict_batch(model, np.array([[2.0]]))[0] == 1
+        assert ensemble_predict_batch(model, np.array([[-2.0]]))[0] == -1
 
     def test_tie_resolves_to_plus_one(self):
         model = EnsembleModel(
             members=(linear_net([1.0]), linear_net([-1.0])), alphas=(1.0, 1.0)
         )
-        assert ensemble_predict(model, np.array([3.0])) == 1
+        assert ensemble_predict_batch(model, np.array([[3.0]]))[0] == 1
 
     def test_weighted_majority(self):
         model = EnsembleModel(
             members=(linear_net([1.0]), linear_net([-1.0])), alphas=(1.0, 2.0)
         )
-        assert ensemble_predict(model, np.array([1.0])) == -1
+        assert ensemble_predict_batch(model, np.array([[1.0]]))[0] == -1
 
     def test_cost_counts_members(self):
         members = tuple(linear_net([1.0, 0.0]) for _ in range(10))

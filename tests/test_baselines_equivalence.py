@@ -1,20 +1,17 @@
-"""The baselines' shared paths: one hinge-SGD loop, one ensemble vote."""
+"""The baselines' shared paths: one hinge-SGD loop and the ensemble file check."""
 
 import numpy as np
 import pytest
 
 from selfieboost.baselines import (
-    EnsembleModel,
     _hinge_sgd,
     _hinge_steps,
     ensemble_from_dict,
-    ensemble_predict,
-    ensemble_predict_batch,
     run_plain_sgd,
 )
 from selfieboost.boost import BoostConfig, SgdParams
 from selfieboost.data import gen_realizable
-from selfieboost.errors import ModelFormatError, ShapeError
+from selfieboost.errors import ModelFormatError
 from selfieboost.nnet import (
     GradientBuffer,
     NetworkArchitecture,
@@ -71,26 +68,6 @@ def test_single_forward_hinge_steps_equal_two_pass_bitwise(data, activation, bat
         assert a.tobytes() == b.tobytes()
     if lr > 0:
         assert one.weights[0].tobytes() != init_network(arch, 3, 1.0).weights[0].tobytes()
-
-
-@pytest.fixture(scope="module")
-def ensemble():
-    arch = NetworkArchitecture(3, (5,))
-    members = tuple(init_network(arch, seed, 1.0) for seed in range(7))
-    alphas = tuple(float(a) for a in SplitMix64(2).uniform_block(7) - 0.3)
-    return EnsembleModel(members=members, alphas=alphas)
-
-
-def test_scalar_prediction_equals_batch_rows(ensemble):
-    x = SplitMix64(4).normal_block(3 * 200).reshape(200, 3)
-    batch = ensemble_predict_batch(ensemble, x)
-    assert [ensemble_predict(ensemble, row) for row in x] == [int(v) for v in batch]
-
-
-@pytest.mark.parametrize("bad", [np.float64(1.0), np.zeros((1, 3))])
-def test_scalar_prediction_rejects_non_vectors(ensemble, bad):
-    with pytest.raises(ShapeError):
-        ensemble_predict(ensemble, bad)
 
 
 def test_empty_ensemble_is_format_error():

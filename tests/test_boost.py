@@ -15,7 +15,6 @@ from selfieboost.boost import (
     edge,
     err,
     margins,
-    mistakes,
     run_selfieboost,
     sgd_inner,
     surrogate_loss,
@@ -66,7 +65,7 @@ class TestMarginCache:
         net = init_network(NetworkArchitecture(5, (16,)), 1, 0.0)
         cache = margins(net, dataset)
         assert np.all(cache.margins == 0.0)
-        np.testing.assert_allclose(cache.weights.probs, 1.0 / dataset.m, atol=1e-15)
+        np.testing.assert_allclose(cache.probs, 1.0 / dataset.m, atol=1e-15)
         assert cache.potential == pytest.approx(math.log(dataset.m), abs=1e-12)
 
     def test_single_example_potential(self):
@@ -108,12 +107,12 @@ class TestMistakes:
     def test_zero_net_counts_everything(self, small_data):
         dataset, _ = small_data
         net = init_network(NetworkArchitecture(5, ()), 0, 0.0)
-        assert mistakes(net, dataset) == dataset.m
+        assert margins(net, dataset).mistakes == dataset.m
         assert err(net, dataset) == 1.0
 
     def test_teacher_is_perfect_on_its_data(self, small_data):
         dataset, teacher = small_data
-        assert mistakes(teacher, dataset) == 0
+        assert margins(teacher, dataset).mistakes == 0
         assert err(teacher, dataset) == 0.0
 
     def test_matches_brute_force(self, small_data):
@@ -123,7 +122,8 @@ class TestMistakes:
         for i in range(dataset.m):
             if dataset.labels[i] * forward(net, dataset.features[i]) <= 0.0:
                 count += 1
-        assert mistakes(net, dataset) == count
+        assert margins(net, dataset).mistakes == count
+        assert err(net, dataset) * dataset.m == count
 
 
 class TestSurrogate:
@@ -405,7 +405,7 @@ class TestRunSelfieboost:
         )
         scores = forward_batch(net, dataset.features)
         cache = cache_from_scores(scores, dataset.labels)
-        table = build_alias(cache.weights.probs)
+        table = build_alias(cache.probs)
         rng_sets = SplitMix64(derive_seed(small_config.seed, 1))
         rng_sgd = SplitMix64(derive_seed(small_config.seed, 2))
         steps, lr = small_config.sgd.steps, small_config.sgd.lr

@@ -274,6 +274,20 @@ class TestCompare:
         assert ada[0] == "adaboost" and ada[3] == ada[2]  # evals == ensemble size
         capsys.readouterr()
 
+    def test_no_candidate_found_writes_the_table_and_exits_4(self, workdir, tmp_path, capsys):
+        # train exits 4 with these flags; AdaBoost still finds weak learners
+        out_csv = tmp_path / "compare.csv"
+        code = main([
+            "compare", "--data", str(workdir / "data.csv"), "--out", str(out_csv),
+            "--T", "3", "--n", "64", "--hidden", "16", "--sgd-steps", "1", "--lr", "1e-12",
+            "--max-retries", "0",
+        ])
+        assert code == EXIT_BREAK
+        assert capsys.readouterr() == ("", "")
+        lines = out_csv.read_text().splitlines()
+        assert len(lines) == 3 and lines[1].startswith("selfieboost,1.0,0,1,")
+        assert lines[2].startswith("adaboost,")
+
     def test_identical_seeds_identical_tables(self, workdir, tmp_path, capsys):
         argv = lambda p: [
             "compare", "--data", str(workdir / "data.csv"), "--out", str(p),

@@ -125,9 +125,13 @@ def test_bad_row_after_blank_line_names_its_line(tmp_path, capsys, text, line):
     {"retry": {"max_retries": 1.5}},
     {"T": True},
     {"seed": None},
+    {"sgd": {"lr": math.nan}},  # json writes and reads NaN and Infinity
+    {"retry": {"sgd_growth": math.inf}},
+    {"init_scale": math.inf},
 ], ids=[
     "threads-string", "hidden-string", "hidden-float", "seed-float", "threads-float",
     "n-float", "widen_units-float", "max_retries-float", "T-bool", "seed-null",
+    "lr-nan", "sgd_growth-inf", "init_scale-inf",
 ])
 def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, entry):
     (tmp_path / "d.csv").write_text(TINY_CSV)
@@ -176,17 +180,35 @@ def test_bound_suite_rejects_m_below_one(tmp_path, capsys):
     assert "--m" in err
 
 
-@pytest.mark.parametrize("text", [
-    "t,edge\n",
-    METRICS_HEADER + "\n1,-0.2,0.5\n",
-    METRICS_HEADER + "\n1,x,0.5,0.25,0.5,5,0,500,32,0.0\n",
-], ids=["header", "field-count", "non-numeric"])
-def test_malformed_metrics_csv_is_malformed_input(tmp_path, capsys, text):
+GOOD_ROW = "1,-0.2,0.5,0.25,0.5,5,0,500,32,0.0"
+
+
+@pytest.mark.parametrize("text, where", [
+    ("t,edge\n", "header"),
+    (METRICS_HEADER + "\n1,-0.2,0.5\n", "row 2 has"),
+    (METRICS_HEADER + "\n1,x,0.5,0.25,0.5,5,0,500,32,0.0\n", "row 2:"),
+    (METRICS_HEADER + "\n" + GOOD_ROW + "\n\n\n" + GOOD_ROW.replace("-0.2", "x") + "\n", "row 5:"),
+], ids=["header", "field-count", "non-numeric", "after-blank-lines"])
+def test_malformed_metrics_csv_is_malformed_input(tmp_path, capsys, text, where):
+    # blank lines are skipped but still counted
     metrics = tmp_path / "metrics.csv"
     metrics.write_text(text)
     code = main(["verify", "--suite", "bound", "--metrics", str(metrics), "--m", "10"])
     assert code == EXIT_IO
-    assert_one_error_line(capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert where in err
+
+
+@pytest.mark.parametrize("rho", ["-1", "0", "0.25", "nan"])
+def test_bound_suite_rejects_a_rho_that_train_rejects(tmp_path, capsys, rho):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(METRICS_HEADER + "\n" + GOOD_ROW + "\n")
+    code = main(["verify", "--suite", "bound", "--metrics", str(metrics), "--m", "10", "--rho", rho])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert_one_error_line(err)
+    assert "rho" in err and out == ""
 
 
 def test_bound_suite_starts_from_recorded_potential(tmp_path, capsys):
@@ -200,3 +222,40 @@ def test_bound_suite_starts_from_recorded_potential(tmp_path, capsys):
                  "--m", "100", "--rho", "0.1"])
     out = capsys.readouterr().out
     assert code == EXIT_OK and "PASS" in out
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would reach stderr
+def test_overflowing_model_is_numeric_error(tmp_path, capsys):
+    # finite weights whose scores overflow on the third row
+    (tmp_path / "d.csv").write_text(TINY_CSV)
+    (tmp_path / "m.json").write_text(MODEL.replace('"b":[0.0]', '"b":[1e308]') % (1, "1e308"))
+    code = main(["eval", "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "d.csv")])
+    assert code == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert_one_error_line(err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag, key", [
+    ("--lr", "sgd.lr"), ("--sgd-growth", "sgd_growth"), ("--init-scale", "init_scale"),
+], ids=["lr", "sgd-growth", "init-scale"])
+def test_non_finite_option_is_usage_error_before_work(tmp_path, capsys, flag, key, value):
+    (tmp_path / "d.csv").write_text(TINY_CSV)
+    metrics = tmp_path / "m.csv"
+    code = main(["train", "--data", str(tmp_path / "d.csv"), "--metrics", str(metrics),
+                 "--hidden", "4", "--T", "3", flag, value])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert_one_error_line(err)
+    assert key in err and out == "" and not metrics.exists()
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_non_finite_tau_is_usage_error_before_work(tmp_path, capsys, tau):
+    code = main(["gen-data", "--m", "5", "--d", "2", "--seed", "1", "--tau", tau,
+                 "--out", str(tmp_path / "d.csv"), "--teacher-out", str(tmp_path / "t.json")])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert_one_error_line(err)
+    assert "tau" in err and out == "" and not any(tmp_path.iterdir())
