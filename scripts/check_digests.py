@@ -39,9 +39,12 @@ COMMANDS = (
     # its SGD attempts end in NumericError mid-loop, then retry
     ("numgen", "gen-data --m 300 --d 5 --teacher-hidden 8 --seed 3 "
                "--out numdata.csv --teacher-out numteacher.json"),
-    # a relu teacher on inputs wider than one 64-column reduction block
+    # a relu teacher on 130 inputs and 70 hidden units
     ("gen130", "gen-data --m 300 --d 130 --teacher-hidden 70 --teacher-activation relu --seed 5 "
                "--out data130.csv --teacher-out teacher130.json"),
+    # hidden layers wider than 64 columns, widened 70 -> 82 -> 90 -> 98 across 8-column boundaries
+    ("wide130", "train --data data130.csv --out-model wide130.json --metrics wide130.csv "
+                "--hidden 70 --widen-units 4 --T 3 --sgd-steps 50 --lr 0.5 --seed 42"),
     # 23 549 attempts over 23 draw blocks, near the 30 000-attempt cap
     ("gen09", "gen-data --m 300 --d 10 --seed 9 --tau 0.9 --out data09.csv --teacher-out teacher09.json"),
     # the attempt cap: exit 3
@@ -71,7 +74,8 @@ EVALS = (
     ("teacher.json", "data.csv"), ("model.json", "data.csv"), ("sgd.json", "data.csv"),
     ("widen.json", "data.csv"), ("relu.json", "data.csv"), ("teacher8.json", "data8.csv"),
     ("ens8.json", "data8.csv"), ("numteacher.json", "numdata.csv"), ("num.json", "numdata.csv"),
-    ("teacher130.json", "data130.csv"), ("teacher09.json", "data09.csv"), ("ens2.json", "data.csv"),
+    ("teacher130.json", "data130.csv"), ("wide130.json", "data130.csv"), ("teacher09.json", "data09.csv"),
+    ("ens2.json", "data.csv"),
 )
 
 

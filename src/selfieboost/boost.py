@@ -158,6 +158,7 @@ class TrainResult:
     records: tuple[IterationRecord, ...]
     accepted_count: int
     stop_reason: str
+    final_mistakes: int  # of final_net, from the loop's last full-dataset sweep
 
 
 def cache_from_scores(raw_scores: np.ndarray, labels: np.ndarray) -> MarginCache:
@@ -414,4 +415,5 @@ def run_selfieboost(
         records=tuple(records),
         accepted_count=len(records),
         stop_reason=stop_reason,
+        final_mistakes=cache.mistakes,
     )

@@ -263,10 +263,9 @@ def cmd_train(args) -> int:
             _write_csv(cfg.metrics_path, METRICS_HEADER, map(astuple, result.records))
         if cfg.out_model:
             save_model(result.final_net, cfg.out_model)
-        final_err = boost.err(result.final_net, dataset)
         print(
             f"stop_reason={result.stop_reason} accepted={result.accepted_count} "
-            f"final_err={_fmt(final_err)}"
+            f"final_err={_fmt(result.final_mistakes / dataset.m)}"
         )
         return EXIT_BREAK if result.stop_reason == boost.STOP_NO_CANDIDATE else EXIT_OK
     if cfg.algo == "adaboost":
@@ -344,7 +343,7 @@ def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     sb = boost.run_selfieboost(dataset, cfg.boost, threads=cfg.threads, measure_time=args.wall_clock)
     sb_ms = (time.perf_counter() - t0) * 1000.0 if args.wall_clock else 0.0
-    sb_err = boost.err(sb.final_net, dataset)
+    sb_err = sb.final_mistakes / dataset.m
 
     t0 = time.perf_counter()
     ada = baselines.run_adaboost(dataset, cfg.boost)

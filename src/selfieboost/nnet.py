@@ -1,11 +1,14 @@
 """Minimal feed-forward scalar-output networks with exact manual backprop.
 
 Weights are per-layer ``(fan_out, fan_in)`` float64 matrices.  Forward
-evaluation is pure; parameter updates mutate in place.  The inner-product
-kernel is written so that per-row results never depend on batch size or on
-zero-weight units appended later, which is what makes :func:`forward_batch`
-agree bit for bit with looped scalar calls and :func:`widen` preserve the
-network function exactly.
+evaluation is pure; parameter updates mutate in place.  Every affine layer is
+one einsum over C-contiguous operands zero-padded to 8 columns, which makes
+three invariances hold bit for bit (``tests/test_nnet.py`` checks each): a row
+scores the same alone as in any batch, at any offset, stride or memory order,
+so :func:`forward_batch` equals looped :func:`forward` at any thread count;
+zero-weight inputs appended by :func:`widen` change no output; appended output
+units leave the others as they were.  Bit equality across CPU architectures
+or numpy builds is not claimed.
 """
 
 from __future__ import annotations
@@ -35,13 +38,12 @@ _ACTIVATIONS = {
 ACTIVATIONS = tuple(_ACTIVATIONS)
 MODEL_FORMAT_VERSION = 1
 
-# Inner products are zero-padded to a multiple of 8 columns and reduced in
-# fixed 64-wide blocks, summed left to right from the first.  numpy then
-# reduces every block with the same fixed accumulator structure, so appending
-# zero-weight columns (widening) or cutting rows cannot reshuffle any sum.
-# Sweeps score fixed ``_ROWS``-row blocks, with or without threads, which
-# bounds their temporaries by one block per thread.
-_BLOCK = 64
+# On a contiguous ``k`` run, einsum's reduction loop sums fixed groups of 8
+# and then a tail; with ``k`` padded to a multiple of 8 there is no tail, so
+# appended zero columns only add groups of exact zeros.  Strided or
+# Fortran-ordered operands take another loop, hence the copy to C order.
+# Sweeps score ``_ROWS``-row blocks, threaded or not: one block's temporaries
+# per thread.
 _ROWS = 1024
 
 
@@ -146,15 +148,12 @@ def init_network(arch: NetworkArchitecture, seed: int, scale: float) -> FeedForw
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w.T + b`` with the fixed-structure reduction described above."""
+    """``x @ w.T + b`` as the one contiguous, 8-padded einsum described above."""
     pad = -x.shape[1] % 8
     if pad:
         x = np.concatenate([x, np.zeros((x.shape[0], pad))], axis=1)
         w = np.concatenate([w, np.zeros((w.shape[0], pad))], axis=1)
-    out = (x[:, None, :_BLOCK] * w[None, :, :_BLOCK]).sum(axis=2)
-    for k in range(_BLOCK, x.shape[1], _BLOCK):
-        out += (x[:, None, k : k + _BLOCK] * w[None, :, k : k + _BLOCK]).sum(axis=2)
-    return out + b
+    return np.einsum("bk,ok->bo", np.ascontiguousarray(x), np.ascontiguousarray(w)) + b
 
 
 def _check_batch(net: FeedForwardNet, x: np.ndarray) -> np.ndarray:

@@ -112,7 +112,8 @@ def weights_from_margins(margins: np.ndarray) -> tuple[np.ndarray, float]:
         raise NumericError("margins contain non-finite values")
     neg = -margins
     hi = float(np.max(neg))
-    unnorm = np.exp(neg - hi)
+    with np.errstate(over="ignore"):  # a span beyond the float range gives exp(-inf) = 0
+        unnorm = np.exp(neg - hi)
     total = chunked_sum(unnorm)
     return unnorm / total, hi + float(np.log(total))
 

@@ -136,6 +136,24 @@ class TestTrain:
         assert code == EXIT_BREAK
         assert "no_candidate_found" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_final_err_comes_from_the_loops_last_sweep(
+        self, workdir, tmp_path, monkeypatch, capsys, command
+    ):
+        from selfieboost import boost
+
+        rows, edges = [], []
+        forward_batch, edge = boost.forward_batch, boost.edge
+        monkeypatch.setattr(boost, "forward_batch", lambda net, x, threads=1: (
+            rows.append(len(x)) or forward_batch(net, x, threads)))
+        monkeypatch.setattr(boost, "edge", lambda *a: edges.append(1) or edge(*a))
+        out = ["--metrics" if command == "train" else "--out", str(tmp_path / "out.csv")]
+        assert main([command, "--data", str(workdir / "data.csv"), *out, "--T", "3",
+                     "--hidden", "16", "--sgd-steps", "300", "--batch", "16", "--seed", "3"]) == EXIT_OK
+        # the initial net and each candidate are swept once; the final net is not re-scored
+        assert rows == [250] * (1 + len(edges))
+        capsys.readouterr()
+
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.csv"), "--T", "1"])
         assert code == EXIT_IO

@@ -3,6 +3,8 @@ and the bound suite reads the initial potential from the metrics file."""
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -234,6 +236,20 @@ def test_overflowing_model_is_numeric_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert_one_error_line(err)
     assert out == ""
+
+
+def test_margins_beyond_the_float_range_print_no_warning(tmp_path):
+    # scores +-1.5e308 are finite, but exp(-margin) of the larger margin
+    # normalises through -inf to weight 0: nothing reaches stderr
+    (tmp_path / "d.csv").write_text("f0,f1,label\n1.5,1.0,1\n-1.5,-1.0,1\n")
+    (tmp_path / "m.json").write_text(MODEL % (1, "1e308"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "selfieboost", "eval",
+         "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "d.csv")],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == "err=0.5 mistakes=1 potential=1.5e+308 evals_per_prediction=1 params_evaluated=3\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

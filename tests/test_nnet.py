@@ -15,6 +15,7 @@ from selfieboost.errors import (
 )
 from selfieboost.nnet import (
     _ROWS,
+    _affine,
     FeedForwardNet,
     GradientBuffer,
     NetworkArchitecture,
@@ -162,6 +163,75 @@ class TestForwardBatch:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"forward_batch peaked at {peak / 2**20:.1f} MiB"
+
+
+def normals(seed, *shape):
+    return SplitMix64(seed).normal_block(math.prod(shape)).reshape(shape)
+
+
+def assert_same_bits(a, b):
+    bits = lambda v: np.ascontiguousarray(v).view(np.uint64)
+    np.testing.assert_array_equal(bits(a), bits(b))
+
+
+# multiples of 8 need no padding copy, so only the contiguity step reorders them
+WIDTHS = st.one_of(st.integers(1, 26).map(lambda n: 8 * n), st.integers(1, 210))
+
+
+class TestKernelContract:
+    """The invariances the ``nnet`` docstring guarantees, compared bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.integers(1, 12), k=WIDTHS, out=st.integers(1, 20), seed=st.integers(0, 2**32))
+    def test_row_subsets_at_every_offset_and_stride(self, rows, k, out, seed):
+        x, w, b = normals(seed, rows, k), normals(seed + 1, out, k), normals(seed + 2, out)
+        full = _affine(x, w, b)
+        net = init_network(NetworkArchitecture(k, (out,)), seed, 1.0)
+        scores = forward_batch(net, x)
+        for off in range(rows):
+            assert_same_bits(_affine(x[off : off + 1], w, b), full[off : off + 1])
+            assert forward(net, x[off]) == scores[off]
+            for stride in range(1, rows + 1):
+                assert_same_bits(_affine(x[off::stride], w, b), full[off::stride])
+                assert_same_bits(forward_batch(net, x[off::stride]), scores[off::stride])
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 40), k=WIDTHS, out=st.integers(1, 20), seed=st.integers(0, 2**32))
+    def test_memory_order_is_irrelevant(self, rows, k, out, seed):
+        x, w, b = normals(seed, rows, 2 * k), normals(seed + 1, out, 2 * k), normals(seed + 2, out)
+        strided, w_strided = x[:, ::2], w[:, ::2]
+        expected = _affine(strided.copy(), w_strided.copy(), b)
+        assert_same_bits(_affine(strided, w_strided, b), expected)
+        assert_same_bits(_affine(np.asfortranarray(strided), np.asfortranarray(w_strided), b), expected)
+        net = init_network(NetworkArchitecture(k, (out,)), seed, 1.0)
+        scores = forward_batch(net, strided.copy())
+        assert_same_bits(forward_batch(net, strided), scores)
+        assert_same_bits(forward_batch(net, np.asfortranarray(strided)), scores)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 40), k=WIDTHS, extra=st.integers(1, 80), out=st.integers(1, 20),
+        seed=st.integers(0, 2**32),
+    )
+    def test_zero_weight_columns_change_nothing(self, rows, k, extra, out, seed):
+        x, w, b = normals(seed, rows, k + extra), normals(seed + 1, out, k), normals(seed + 2, out)
+        w_ext = np.hstack([w, np.zeros((out, extra))])
+        assert_same_bits(_affine(x, w_ext, b), _affine(x[:, :k].copy(), w, b))
+        net = init_network(NetworkArchitecture(k, (out,)), seed, 1.0)
+        ext = FeedForwardNet(
+            NetworkArchitecture(k + extra, (out,)),
+            [np.hstack([net.weights[0], np.zeros((out, extra))]), net.weights[1]], net.biases,
+        )
+        assert_same_bits(forward_batch(ext, x), forward_batch(net, x[:, :k].copy()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 40), k=WIDTHS, out=st.integers(1, 20), extra=st.integers(1, 40),
+        seed=st.integers(0, 2**32),
+    )
+    def test_extra_output_rows_change_nothing(self, rows, k, out, extra, seed):
+        x, w, b = normals(seed, rows, k), normals(seed + 1, out + extra, k), normals(seed + 2, out + extra)
+        assert_same_bits(_affine(x, w, b)[:, :out], _affine(x, w[:out].copy(), b[:out].copy()))
 
 
 class TestBackprop:
