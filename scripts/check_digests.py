@@ -54,6 +54,10 @@ COMMANDS = (
              "--hidden 2 --sgd-steps 5 --T 50 --seed 42"),
     ("num", "train --data numdata.csv --out-model num.json --metrics num.csv --hidden 8 --T 4 "
             "--n 64 --sgd-steps 50 --lr 3e5 --batch 16 --sgd-growth 1.5 --lr-shrink 0.001 --seed 1"),
+    # the first attempt violates the clip and 0.4 * 5e-324 underflows to lr 0: exit 4
+    ("lrzerogen", "gen-data --m 300 --d 5 --seed 3 --out lrzerodata.csv --teacher-out lrzeroteacher.json"),
+    ("lrzero", "train --data lrzerodata.csv --out-model lrzero.json --metrics lrzero.csv --hidden 8 "
+               "--T 5 --n 64 --lr 0.4 --lr-shrink 5e-324"),
     # baseline SGD blow-ups: exit 5, no model and no metrics file
     ("sgdnum", "train --algo sgd --data numdata.csv --out-model sgdnum.json --metrics sgdnum.csv "
                "--hidden 8,8 --activation relu --init-scale 1 --sgd-steps 200 --lr 1e50 --seed 1"),
@@ -75,7 +79,7 @@ EVALS = (
     ("widen.json", "data.csv"), ("relu.json", "data.csv"), ("teacher8.json", "data8.csv"),
     ("ens8.json", "data8.csv"), ("numteacher.json", "numdata.csv"), ("num.json", "numdata.csv"),
     ("teacher130.json", "data130.csv"), ("wide130.json", "data130.csv"), ("teacher09.json", "data09.csv"),
-    ("ens2.json", "data.csv"),
+    ("ens2.json", "data.csv"), ("lrzero.json", "lrzerodata.csv"),
 )
 
 

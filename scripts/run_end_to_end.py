@@ -12,7 +12,6 @@ from selfieboost import (
     BoostConfig,
     NetworkArchitecture,
     SgdParams,
-    err,
     gen_realizable,
     run_selfieboost,
     save_model,
@@ -41,7 +40,7 @@ def main() -> int:
     save_model(result.final_net, workdir / "model.json")
 
     print(f"stop={result.stop_reason} accepted={result.accepted_count} "
-          f"final_err={err(result.final_net, dataset):.4f}")
+          f"final_err={result.final_mistakes / dataset.m:.4f}")
     for rec in result.records:
         print(f"  t={rec.t:2d} edge={rec.edge:+.4f} "
               f"potential {rec.potential_before:7.4f} -> {rec.potential_after:7.4f} "

@@ -33,9 +33,7 @@ from .baselines import (
 from .data import Dataset, gen_realizable, load_csv, save_csv
 from .nnet import (
     FeedForwardNet,
-    GradientBuffer,
     NetworkArchitecture,
-    backprop_scalar,
     forward,
     forward_batch,
     grad_check,

@@ -20,7 +20,6 @@ from .data import Dataset
 from .errors import ConfigError, EmptyDatasetError, NumericError, ShapeError
 from .nnet import (
     FeedForwardNet,
-    GradientBuffer,
     NetworkArchitecture,
     _backprop_core,
     _forward_cached,
@@ -213,11 +212,10 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream) -> None:
 
     All ``steps * batch`` picks come from ``rng`` in one block, the stream of
     one draw of ``batch`` per step.  ``upstream(pick, scores)`` is the loss
-    gradient wrt the scores; ``lr = 0`` leaves ``net`` as it is.  Non-finite
-    scores or parameters raise :class:`NumericError`.
+    gradient wrt the scores.  Non-finite scores or parameters raise
+    :class:`NumericError`.
     """
     picks = uniform_picks(rng, steps * batch, len(feats)).reshape(steps, batch)
-    buf = GradientBuffer(net)
     # overflow surfaces as NumericError via the explicit checks below, so
     # numpy's intermediate warnings carry no extra information here
     with np.errstate(all="ignore"):
@@ -229,13 +227,9 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream) -> None:
                 # drawing one minibatch per step would have left it
                 rng.skip(-(steps - k - 1) * batch)
                 raise NumericError("scores became non-finite during SGD")
-            _backprop_core(net, acts, upstream(pick, scores), buf)
-            if lr > 0:
-                sgd_step(net, buf, lr)
-            else:
-                buf.zero()
-    for w in net.weights:
-        if not np.isfinite(w).all():
+            sgd_step(net, _backprop_core(net, acts, upstream(pick, scores)), lr)
+    for p in net.weights + net.biases:
+        if not np.isfinite(p).all():
             raise NumericError("parameters became non-finite during SGD")
 
 
@@ -334,7 +328,8 @@ def run_selfieboost(
     edge on the full dataset.  Rejected candidates escalate per the retry
     policy (more SGD steps, optional widening, smaller learning rate after
     clip violations) with a fresh working set each time; when retries are
-    exhausted the run stops with ``no_candidate_found``.  Stops early with
+    exhausted, or the shrunk learning rate underflows to 0, the run stops
+    with ``no_candidate_found``.  Stops early with
     ``zero_training_error`` once the current net makes no mistakes.
 
     With ``measure_time=False`` (the default) ``wall_ms`` is recorded as 0.0
@@ -362,7 +357,10 @@ def run_selfieboost(
         cur_steps = config.sgd.steps
         cur_lr = config.sgd.lr
         cur_widen = 0
+        accepted = False
         for attempt in range(config.retry.max_retries + 1):
+            if cur_lr == 0.0:  # shrunk to underflow: no attempt at lr 0 can move the net
+                break
             working_set = sample_indices(table, n, rng_sets)
             candidate = net.copy()
             if cur_widen > 0:
@@ -382,14 +380,15 @@ def run_selfieboost(
                 if attempt == config.retry.max_retries:
                     raise
             else:
-                if report.accepted:
+                accepted = report.accepted
+                if accepted:
                     break
                 violation = report.violation_count > 0
             cur_steps = int(np.ceil(cur_steps * config.retry.sgd_growth))
             if violation:
                 cur_lr *= config.retry.lr_shrink
             cur_widen += config.retry.widen_units
-        else:
+        if not accepted:
             stop_reason = STOP_NO_CANDIDATE
             break
         net = candidate

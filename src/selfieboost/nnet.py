@@ -1,7 +1,8 @@
 """Minimal feed-forward scalar-output networks with exact manual backprop.
 
 Weights are per-layer ``(fan_out, fan_in)`` float64 matrices.  Forward
-evaluation is pure; parameter updates mutate in place.  Every affine layer is
+evaluation and backprop are pure, backprop returning the gradients as values;
+:func:`sgd_step` applies them in place.  Every affine layer is
 one einsum over C-contiguous operands zero-padded to 8 columns, which makes
 three invariances hold bit for bit (``tests/test_nnet.py`` checks each): a row
 scores the same alone as in any batch, at any offset, stride or memory order,
@@ -108,22 +109,6 @@ class FeedForwardNet:
         )
 
 
-class GradientBuffer:
-    """Accumulator with the same shapes as the owning network's parameters."""
-
-    __slots__ = ("weights", "biases")
-
-    def __init__(self, net: FeedForwardNet):
-        self.weights = [np.zeros_like(w) for w in net.weights]
-        self.biases = [np.zeros_like(b) for b in net.biases]
-
-    def zero(self) -> None:
-        for g in self.weights:
-            g.fill(0.0)
-        for g in self.biases:
-            g.fill(0.0)
-
-
 def init_network(arch: NetworkArchitecture, seed: int, scale: float) -> FeedForwardNet:
     """Seeded init: weights uniform in ``±scale/sqrt(fan_in)``, biases zero.
 
@@ -199,46 +184,41 @@ def forward(net: FeedForwardNet, x: np.ndarray) -> float:
     return float(_forward_cached(net, x[None, :])[-1][0, 0])
 
 
-def _backprop_core(net: FeedForwardNet, acts, upstream: np.ndarray, buf: GradientBuffer) -> None:
+Gradients = tuple[list[np.ndarray], list[np.ndarray]]  # (weight grads, bias grads) per layer
+
+
+def _backprop_core(net: FeedForwardNet, acts, upstream: np.ndarray) -> Gradients:
+    """``sum_i upstream[i] * d score(x_i) / d theta`` from the activations of
+    :func:`_forward_cached`, layers processed output to input."""
     derivative = _ACTIVATIONS[net.architecture.activation][1]
+    layers = len(net.weights)
+    weight_grads, bias_grads = [None] * layers, [None] * layers
     delta = upstream[:, None]
-    for i in range(len(net.weights) - 1, -1, -1):
-        buf.weights[i] += np.einsum("mo,mh->oh", delta, acts[i])
-        buf.biases[i] += delta.sum(axis=0)
+    for i in range(layers - 1, -1, -1):
+        weight_grads[i] = np.einsum("mo,mh->oh", delta, acts[i])
+        bias_grads[i] = delta.sum(axis=0)
         if i > 0:
             back = np.einsum("mo,oh->mh", delta, net.weights[i])
             delta = back * derivative(acts[i])
+    return weight_grads, bias_grads
 
 
-def backprop_batch(net: FeedForwardNet, x: np.ndarray, upstream: np.ndarray, buf: GradientBuffer) -> None:
-    """Accumulate ``sum_i upstream[i] * d score(x_i) / d theta`` into ``buf``.
-
-    Layers are processed output to input.
-    """
+def backprop_batch(net: FeedForwardNet, x: np.ndarray, upstream: np.ndarray) -> Gradients:
+    """Gradients of ``sum_i upstream[i] * score(x_i)`` wrt every parameter."""
     x = _check_batch(net, x)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (x.shape[0],):
         raise ShapeError(f"upstream must have shape ({x.shape[0]},), got {upstream.shape}")
-    _backprop_core(net, _forward_cached(net, x), upstream, buf)
+    return _backprop_core(net, _forward_cached(net, x), upstream)
 
 
-def backprop_scalar(net: FeedForwardNet, x: np.ndarray, upstream: float, buf: GradientBuffer) -> None:
-    """Accumulate ``upstream * d forward(net, x) / d theta`` into ``buf``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != net.architecture.input_dim:
-        raise ShapeError(f"expected input of shape ({net.architecture.input_dim},), got {x.shape}")
-    backprop_batch(net, x[None, :], np.array([float(upstream)]), buf)
-
-
-def sgd_step(net: FeedForwardNet, buf: GradientBuffer, lr: float) -> None:
-    """``theta -= lr * grad`` for every parameter, then zero the buffer."""
+def sgd_step(net: FeedForwardNet, grads: Gradients, lr: float) -> None:
+    """``theta -= lr * grad`` for every parameter; ``grads`` is left as it is."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    for w, g in zip(net.weights, buf.weights):
-        w -= lr * g
-    for b, g in zip(net.biases, buf.biases):
-        b -= lr * g
-    buf.zero()
+    weight_grads, bias_grads = grads
+    for p, g in zip(net.weights + net.biases, weight_grads + bias_grads):
+        p -= lr * g
 
 
 def widen(net: FeedForwardNet, extra_units: int, seed: int) -> FeedForwardNet:
@@ -280,14 +260,12 @@ def grad_check(net: FeedForwardNet, x: np.ndarray, eps: float) -> float:
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    x = np.asarray(x, dtype=np.float64)
-    buf = GradientBuffer(net)
-    backprop_scalar(net, x, 1.0, buf)
+    xb = np.asarray(x, dtype=np.float64)[None, ...]  # a one-row batch; other shapes raise ShapeError
+    weight_grads, bias_grads = backprop_batch(net, xb, np.array([1.0]))
 
     is_relu = net.architecture.activation == "relu"
-    xb = x[None, :]
     worst = 0.0
-    for arr, grads in zip(net.weights + net.biases, buf.weights + buf.biases):
+    for arr, grads in zip(net.weights + net.biases, weight_grads + bias_grads):
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + eps

@@ -6,7 +6,6 @@ import pytest
 from selfieboost import baselines
 from selfieboost.baselines import (
     EnsembleModel,
-    _hinge_steps,
     cost,
     ensemble_err,
     ensemble_predict_batch,
@@ -137,14 +136,6 @@ class TestPlainSgd:
         config = BoostConfig(hidden=(3,), sgd=SgdParams(50, 0.1, 1), seed=4)
         trained = run_plain_sgd(easy_data, config).net
         assert trained.weights[0].tobytes() != start.weights[0].tobytes()
-
-    def test_zero_lr_changes_nothing(self, easy_data):
-        arch = NetworkArchitecture(4, (3,))
-        moved = init_network(arch, derive_seed(4, 0), 1.0)
-        _hinge_steps(moved, easy_data, 25, 0.0, 1, SplitMix64(derive_seed(4, 1)))
-        frozen = init_network(arch, derive_seed(4, 0), 1.0)
-        for a, b in zip(moved.weights + moved.biases, frozen.weights + frozen.biases):
-            np.testing.assert_array_equal(a, b)
 
     def test_separable_linear_problem_reaches_zero_error(self):
         rng = SplitMix64(3)

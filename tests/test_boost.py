@@ -10,7 +10,9 @@ from selfieboost.boost import (
     RetryPolicy,
     SgdParams,
     STOP_COMPLETED,
+    STOP_NO_CANDIDATE,
     STOP_ZERO_ERROR,
+    _sgd_loop,
     cache_from_scores,
     edge,
     err,
@@ -164,6 +166,15 @@ class TestSgdInner:
         sgd_inner(dataset, np.array([0]), snapshot, candidate, SgdParams(10, 0.001, 1), SplitMix64(1))
         moved = forward(candidate, dataset.features[0]) - snapshot[0]
         assert moved > 0.0  # label +1 pulls the score up
+
+    def test_non_finite_bias_raises(self):
+        # the output bias overflows to inf while every weight and score stays finite
+        net = init_network(NetworkArchitecture(1, (2,)), 0, 1.0)
+        feats = np.array([[1e-200], [-1e-200]])
+        with pytest.raises(NumericError, match="parameters"):
+            _sgd_loop(net, feats, 2, 1.7e308, 1, SplitMix64(1), lambda pick, scores: -np.ones(len(pick)))
+        assert all(np.isfinite(w).all() for w in net.weights)
+        assert not np.isfinite(net.biases[-1]).all()
 
 
 class TestEdge:
@@ -393,6 +404,23 @@ class TestRunSelfieboost:
         result = run_selfieboost(dataset, cfg)
         assert [r.retries_used for r in result.records] == [4, 2, 2, 2]
         assert len(aborts) == 4 and all(c < steps for c, steps in aborts)
+
+    def test_underflowed_lr_ends_the_run_before_an_attempt_at_lr_0(self, monkeypatch):
+        dataset, _ = gen_realizable(300, 5, NetworkArchitecture(5, (4,)), 0.1, 3)
+        cfg = BoostConfig(
+            T=5, n=64, hidden=(8,), sgd=SgdParams(lr=0.4), retry=RetryPolicy(lr_shrink=5e-324),
+        )
+        step, lrs = boost.sgd_step, []
+
+        def recording_step(net, grads, lr):
+            lrs.append(lr)
+            step(net, grads, lr)
+
+        monkeypatch.setattr(boost, "sgd_step", recording_step)
+        result = run_selfieboost(dataset, cfg)
+        assert result.stop_reason == STOP_NO_CANDIDATE
+        assert result.records == ()
+        assert lrs == [0.4] * 500  # one attempt: it violates the clip, and 0.4 * 5e-324 is 0
 
     def test_acceptance_soundness_replay(self, small_data, small_config):
         """Manually replay one iteration and recheck adoption with the oracle."""

@@ -136,6 +136,22 @@ class TestTrain:
         assert code == EXIT_BREAK
         assert "no_candidate_found" in capsys.readouterr().out
 
+    def test_lr_shrunk_to_underflow_breaks_with_exit_4(self, tmp_path, capsys):
+        data = str(tmp_path / "data.csv")
+        assert main(["gen-data", "--m", "300", "--d", "5", "--seed", "3", "--out", data,
+                     "--teacher-out", str(tmp_path / "teacher.json")]) == EXIT_OK
+        # the first attempt violates the clip, and 0.4 * 5e-324 rounds to lr 0
+        code = main([
+            "train", "--data", data, "--out-model", str(tmp_path / "model.json"),
+            "--metrics", str(tmp_path / "m.csv"), "--hidden", "8", "--T", "5", "--n", "64",
+            "--lr", "0.4", "--lr-shrink", "5e-324",
+        ])
+        assert code == EXIT_BREAK
+        out = capsys.readouterr().out
+        assert out.endswith("stop_reason=no_candidate_found accepted=0 final_err=1.0\n")
+        assert (tmp_path / "m.csv").read_text() == METRICS_HEADER + "\n"
+        assert (tmp_path / "model.json").exists()
+
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_final_err_comes_from_the_loops_last_sweep(
         self, workdir, tmp_path, monkeypatch, capsys, command

@@ -17,9 +17,8 @@ from selfieboost.nnet import (
     _ROWS,
     _affine,
     FeedForwardNet,
-    GradientBuffer,
     NetworkArchitecture,
-    backprop_scalar,
+    backprop_batch,
     forward,
     forward_batch,
     grad_check,
@@ -237,40 +236,35 @@ class TestKernelContract:
 class TestBackprop:
     def test_zero_upstream_leaves_buffer(self):
         net = init_network(NetworkArchitecture(4, (3,)), 1, 1.0)
-        buf = GradientBuffer(net)
-        backprop_scalar(net, np.ones(4), 0.0, buf)
-        assert all(np.all(g == 0.0) for g in buf.weights + buf.biases)
+        weight_grads, bias_grads = backprop_batch(net, np.ones((1, 4)), np.array([0.0]))
+        assert all(np.all(g == 0.0) for g in weight_grads + bias_grads)
 
     def test_linear_gradients_are_input_and_one(self):
         net = make_linear([0.3, -0.7, 2.0], 0.1)
-        buf = GradientBuffer(net)
         x = np.array([1.5, -2.0, 0.25])
-        backprop_scalar(net, x, 1.0, buf)
-        np.testing.assert_array_equal(buf.weights[0][0], x)
-        assert buf.biases[0][0] == 1.0
+        weight_grads, bias_grads = backprop_batch(net, x[None, :], np.array([1.0]))
+        np.testing.assert_array_equal(weight_grads[0][0], x)
+        assert bias_grads[0][0] == 1.0
 
     def test_accumulates_across_calls(self):
+        # the gradient of a batch is the sum over its rows
         net = make_linear([1.0, 1.0], 0.0)
-        buf = GradientBuffer(net)
         x = np.array([2.0, 3.0])
-        backprop_scalar(net, x, 1.0, buf)
-        backprop_scalar(net, x, 1.0, buf)
-        np.testing.assert_array_equal(buf.weights[0][0], 2 * x)
+        weight_grads, _ = backprop_batch(net, np.stack([x, x]), np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(weight_grads[0][0], 2 * x)
 
     def test_upstream_scales_gradient(self):
         net = make_linear([1.0], 0.0)
-        buf = GradientBuffer(net)
-        backprop_scalar(net, np.array([4.0]), -0.5, buf)
-        assert buf.weights[0][0, 0] == -2.0
+        weight_grads, _ = backprop_batch(net, np.array([[4.0]]), np.array([-0.5]))
+        assert weight_grads[0][0, 0] == -2.0
 
     def test_relu_subgradient_at_zero_is_zero(self):
         # x = 0 makes every hidden pre-activation exactly 0
         net = init_network(NetworkArchitecture(2, (4,), "relu"), 3, 1.0)
-        buf = GradientBuffer(net)
-        backprop_scalar(net, np.zeros(2), 1.0, buf)
-        assert np.all(buf.weights[0] == 0.0)
-        assert np.all(buf.biases[0] == 0.0)
-        assert buf.biases[1][0] == 1.0  # output bias gradient unaffected
+        weight_grads, bias_grads = backprop_batch(net, np.zeros((1, 2)), np.array([1.0]))
+        assert np.all(weight_grads[0] == 0.0)
+        assert np.all(bias_grads[0] == 0.0)
+        assert bias_grads[1][0] == 1.0  # output bias gradient unaffected
 
 
 class TestGradCheck:
@@ -301,21 +295,25 @@ class TestGradCheck:
             grad_check(net, np.array([1.0]), 0.0)
 
 
+def zero_grads(net):
+    return [np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases]
+
+
 class TestSgdStep:
     def test_zero_gradient_is_noop(self):
         net = init_network(NetworkArchitecture(3, (2,)), 4, 1.0)
         before = [w.copy() for w in net.weights]
-        sgd_step(net, GradientBuffer(net), 0.1)
+        sgd_step(net, zero_grads(net), 0.1)
         for w, orig in zip(net.weights, before):
             np.testing.assert_array_equal(w, orig)
 
     def test_single_parameter_update(self):
         net = make_linear([2.0], 0.0)
-        buf = GradientBuffer(net)
-        buf.weights[0][0, 0] = 0.5
-        sgd_step(net, buf, 1.0)
+        grads = zero_grads(net)
+        grads[0][0][0, 0] = 0.5
+        sgd_step(net, grads, 1.0)
         assert net.weights[0][0, 0] == 1.5
-        assert buf.weights[0][0, 0] == 0.0  # buffer zeroed
+        assert grads[0][0][0, 0] == 0.5  # gradients left as they were
 
     def test_two_half_steps_equal_one_summed_step(self):
         # dyadic values keep the arithmetic exact
@@ -323,16 +321,12 @@ class TestSgdStep:
         b = make_linear([2.0], 1.0)
         g1, g2 = (0.5, 0.125), (0.25, 0.0625)  # (weight grad, bias grad)
 
-        buf = GradientBuffer(a)
-        buf.weights[0][0, 0], buf.biases[0][0] = g1
-        sgd_step(a, buf, 0.5)
-        buf.weights[0][0, 0], buf.biases[0][0] = g2
-        sgd_step(a, buf, 0.5)
+        def grads(weight_grad, bias_grad):
+            return [np.array([[weight_grad]])], [np.array([bias_grad])]
 
-        buf = GradientBuffer(b)
-        buf.weights[0][0, 0] = (g1[0] + g2[0]) / 2
-        buf.biases[0][0] = (g1[1] + g2[1]) / 2
-        sgd_step(b, buf, 1.0)
+        sgd_step(a, grads(*g1), 0.5)
+        sgd_step(a, grads(*g2), 0.5)
+        sgd_step(b, grads((g1[0] + g2[0]) / 2, (g1[1] + g2[1]) / 2), 1.0)
 
         assert a.weights[0][0, 0] == b.weights[0][0, 0]
         assert a.biases[0][0] == b.biases[0][0]
@@ -340,7 +334,7 @@ class TestSgdStep:
     def test_rejects_nonpositive_lr(self):
         net = make_linear([1.0], 0.0)
         with pytest.raises(ValueError):
-            sgd_step(net, GradientBuffer(net), 0.0)
+            sgd_step(net, zero_grads(net), 0.0)
 
 
 class TestWiden:
