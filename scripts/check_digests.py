@@ -3,6 +3,8 @@
 Each command's exit code, stdout and stderr go to ``<name>.log`` in the work
 directory and are digested with the model, metrics and data files, so two
 checkouts that print the same lines behave byte-identically on this set.
+Two reformatted copies of ``data.csv`` are evaluated as well, one read by
+numpy's reader and one by the row parser, and must print the same line.
 The commands run ``python -m selfieboost`` from whichever package the
 interpreter imports, e.g. ``PYTHONPATH=src``; relative ``PYTHONPATH`` entries
 are resolved against the directory the script starts in, not the work
@@ -83,6 +85,25 @@ EVALS = (
 )
 
 
+def write_odd_copies(workdir: Path) -> None:
+    """Derive ``odd.csv`` from ``data.csv``: CRLF endings, blank lines before the
+    header and between rows, space-padded fields.  ``odd_us.csv`` also writes
+    one value with an underscore, which numpy's reader rejects, so the row
+    parser reads it; both must load the same dataset."""
+    header, *rows = (workdir / "data.csv").read_text().splitlines()
+    rows = [row.split(",") for row in rows]
+    for name in ("odd.csv", "odd_us.csv"):
+        lines = ["", "", header]
+        for k, row in enumerate(rows, start=1):
+            lines.append(",".join(f" {v} " for v in row))
+            if k % 100 == 0:
+                lines.append("")
+        (workdir / name).write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        value = rows[0][0]
+        dot = value.index(".")
+        rows[0][0] = f"{value[:dot + 2]}_{value[dot + 2:]}"  # e.g. 0.1234 -> 0.1_234
+
+
 def run(workdir: Path, name: str, argv: list[str]) -> None:
     paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(os.path.abspath(p) for p in paths if p))
@@ -105,6 +126,9 @@ def main() -> int:
         run(workdir, name, command.split())
     for model, data in EVALS:
         run(workdir, f"eval-{Path(model).stem}", ["eval", "--model", model, "--data", data])
+    write_odd_copies(workdir)
+    for data in ("odd.csv", "odd_us.csv"):
+        run(workdir, f"eval-{Path(data).stem}", ["eval", "--model", "model.json", "--data", data])
     for path in sorted(workdir.iterdir()):
         print(f"sha256 {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
     return 0

@@ -217,8 +217,11 @@ def _write_csv(path: str | None, header: str, rows) -> None:
 def read_metrics_csv(path: str) -> list[IterationRecord]:
     """Parse a selfieboost metrics file.  Blank lines are skipped; an error
     names a row by its line number in the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(row, line.strip()) for row, line in enumerate(fh, start=1) if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(row, line.strip()) for row, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"{path}: {exc}") from exc
     if not lines or lines[0][1] != METRICS_HEADER:
         raise DatasetParseError(f"{path}: expected metrics header {METRICS_HEADER!r}")
     types = [int if f.type == "int" else float for f in fields(IterationRecord)]

@@ -368,6 +368,8 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ModelFormatError(
                 f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -72,6 +72,24 @@ def test_too_deeply_nested_json_is_malformed_input(tmp_path, capsys, kind, doc, 
     assert_one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("kind", ["train-data", "eval-data", "model", "ensemble"])
+def test_non_utf8_input_file_is_malformed_input_naming_it(tmp_path, capsys, kind):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    data.write_text(TINY_CSV)
+    model.write_text('{"format_version":1,"alphas":[1.0],' + ONE_MEMBER + "}" if kind == "ensemble"
+                     else MODEL % (1, 1.0))
+    bad = data if kind.endswith("data") else model
+    bad.write_bytes(bad.read_bytes().replace(b"1.0", b"1\xff.0", 1))
+    if kind == "train-data":
+        argv = ["train", "--data", str(data), "--T", "1", "--hidden", "4"]
+    else:
+        argv = ["eval", "--model", str(model), "--data", str(data)]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in err
+
+
 def test_compare_rejects_train_only_flags(tmp_path, capsys):
     (tmp_path / "d.csv").write_text(TINY_CSV)
     argv = ["compare", "--data", str(tmp_path / "d.csv"), "--T", "1", "--metrics", str(tmp_path / "x.csv")]
@@ -190,11 +208,12 @@ GOOD_ROW = "1,-0.2,0.5,0.25,0.5,5,0,500,32,0.0"
     (METRICS_HEADER + "\n1,-0.2,0.5\n", "row 2 has"),
     (METRICS_HEADER + "\n1,x,0.5,0.25,0.5,5,0,500,32,0.0\n", "row 2:"),
     (METRICS_HEADER + "\n" + GOOD_ROW + "\n\n\n" + GOOD_ROW.replace("-0.2", "x") + "\n", "row 5:"),
-], ids=["header", "field-count", "non-numeric", "after-blank-lines"])
+    (f"{METRICS_HEADER}\n{GOOD_ROW}\n".encode().replace(b"-0.2", b"-0.2\xff"), "metrics.csv: 'utf-8'"),
+], ids=["header", "field-count", "non-numeric", "after-blank-lines", "non-utf8"])
 def test_malformed_metrics_csv_is_malformed_input(tmp_path, capsys, text, where):
     # blank lines are skipped but still counted
     metrics = tmp_path / "metrics.csv"
-    metrics.write_text(text)
+    metrics.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = main(["verify", "--suite", "bound", "--metrics", str(metrics), "--m", "10"])
     assert code == EXIT_IO
     err = capsys.readouterr().err

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selfieboost.data import Dataset, gen_realizable, load_csv, save_csv
 from selfieboost.errors import (
@@ -186,3 +193,96 @@ class TestCsvRoundTrip:
         path.write_text("f0,label\nabc,1\n")
         with pytest.raises(DatasetParseError, match="row 2"):
             load_csv(path)
+
+
+# Pieces of dataset files.  numpy's reader and ``float()`` agree on every
+# finite ``repr``; ``float()`` alone reads underscores and Arabic-Indic
+# digits; the bad values are non-finite, not numbers, or bad labels.
+EDGE_VALUES = ["-0.0", "5e-324", "2.2250738585072014e-308", "1e308", "1.7976931348623157e+308"]
+FLOAT_ONLY = ["1_0", "-2_5.0_1", "\u0661\u0662"]
+BAD_VALUES = ["nan", "inf", "-inf", "1e309", "", "x", "0x10", "0", "2"]
+PADS = ["", "", " ", "\t", "\xa0"]
+BLANKS = [""] * 8 + [" ", "\t"]  # a whitespace-only line is a row with one field
+LABELS = ["1", "-1", "1.0", "-1.0", "+1"]
+
+
+@st.composite
+def csv_texts(draw):
+    d = draw(st.integers(1, 3))
+    value = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(EDGE_VALUES)
+    rows = draw(st.lists(
+        st.builds(lambda f, y: [*f, y], st.lists(value, min_size=d, max_size=d), st.sampled_from(LABELS)),
+        max_size=4,
+    ))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        col = draw(st.integers(0, len(row) - 1))
+        action = draw(st.sampled_from(["float-only"] * 3 + ["bad", "drop", "extra"]))
+        if action == "float-only":
+            row[col] = draw(st.sampled_from(FLOAT_ONLY))
+        elif action == "bad":
+            row[col] = draw(st.sampled_from(BAD_VALUES))
+        elif action == "drop":
+            del row[col]
+        else:
+            row.insert(col, "1.5")
+    header = ",".join([f"f{j}" for j in range(d)] + ["label"])
+    header = draw(st.sampled_from([header] * 4 + [header + " ", header.replace("label", "y"), ""]))
+    lines = [*draw(st.lists(st.sampled_from(BLANKS), max_size=2)), header]
+    for row in rows:
+        lines.append(",".join(draw(st.sampled_from(PADS)) + v + draw(st.sampled_from(PADS)) for v in row))
+        lines += draw(st.lists(st.sampled_from(BLANKS), max_size=1))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines)
+    return text + newline if draw(st.booleans()) and text else text
+
+
+def parsed(parse, path):
+    try:
+        dataset = parse(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return dataset.features.tobytes(), dataset.labels.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=csv_texts())
+@example(text="")
+@example(text="f0,label\n")
+@example(text="\n \n")
+@example(text="f0,label\ninf,1\n\nabc,1\n")  # the malformed row is reported first
+@example(text="f0,label\nnan,1\n1.0,1\n")
+@example(text="f0,f1,label\r\n\r\n 1_0 ,\u0661,-1\r\n")
+def test_load_csv_matches_the_row_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("parity") / "d.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parsed(load_csv, path) == parsed(data._parse_rows, path)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
+def test_load_csv_peak_memory_is_the_table_plus_16_mib(tmp_path):
+    # the row parser held every line as a Python string: about 4x the table.
+    # VmHWM is the peak RSS of the child's own address space; its ru_maxrss
+    # would start at this test process's RSS when it was spawned
+    m, d = 200_000, 10
+    rows = np.random.default_rng(0).standard_normal((1000, d)).tolist()
+    block = "".join(",".join(map(repr, row)) + ",1\n" for row in rows)
+    path = tmp_path / "big.csv"
+    path.write_text(",".join(f"f{j}" for j in range(d)) + ",label\n" + block * (m // 1000))
+    script = (
+        "import sys\n"
+        "from selfieboost.data import load_csv\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "before = peak_kib()\n"
+        "assert load_csv(sys.argv[1]).m == int(sys.argv[2])\n"
+        "print(peak_kib() - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(data.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(path), str(m)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert int(proc.stdout) * 1024 <= m * (d + 1) * 8 + 16 * 2**20
