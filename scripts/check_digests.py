@@ -5,6 +5,8 @@ directory and are digested with the model, metrics and data files, so two
 checkouts that print the same lines behave byte-identically on this set.
 Two reformatted copies of ``data.csv`` are evaluated as well, one read by
 numpy's reader and one by the row parser, and must print the same line.
+Last come the bound suite on ``metrics.csv`` with two rows swapped (exit 1)
+and a relu run whose first margin shift overflows (exit 5).
 The commands run ``python -m selfieboost`` from whichever package the
 interpreter imports, e.g. ``PYTHONPATH=src``; relative ``PYTHONPATH`` entries
 are resolved against the directory the script starts in, not the work
@@ -104,6 +106,22 @@ def write_odd_copies(workdir: Path) -> None:
         rows[0][0] = f"{value[:dot + 2]}_{value[dot + 2:]}"  # e.g. 0.1234 -> 0.1_234
 
 
+# their inputs are derived from earlier outputs by write_late_inputs
+LATE_COMMANDS = (
+    ("verifyswap", "verify --suite bound --metrics swapped.csv --m 2000"),
+    ("ovf", "train --data ovfdata.csv --out-model ovf.json --metrics ovf.csv "
+            "--hidden 4 --T 2 --seed 1 --activation relu"),
+)
+
+
+def write_late_inputs(workdir: Path) -> None:
+    """``swapped.csv`` is ``metrics.csv`` with its first two rows swapped, which
+    breaks the chain of records; ``ovfdata.csv`` has a 1e308 feature."""
+    header, first, second, *rest = (workdir / "metrics.csv").read_text().splitlines(keepends=True)
+    (workdir / "swapped.csv").write_text("".join([header, second, first, *rest]))
+    (workdir / "ovfdata.csv").write_text("f0,f1,label\n1e308,1.0,1\n-1.5,1.0,-1\n0.5,-2,1\n")
+
+
 def run(workdir: Path, name: str, argv: list[str]) -> None:
     paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(os.path.abspath(p) for p in paths if p))
@@ -129,6 +147,9 @@ def main() -> int:
     write_odd_copies(workdir)
     for data in ("odd.csv", "odd_us.csv"):
         run(workdir, f"eval-{Path(data).stem}", ["eval", "--model", "model.json", "--data", data])
+    write_late_inputs(workdir)
+    for name, command in LATE_COMMANDS:
+        run(workdir, name, command.split())
     for path in sorted(workdir.iterdir()):
         print(f"sha256 {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
     return 0

@@ -4,7 +4,6 @@ the recorded run against the convergence guarantee.
 Usage: python scripts/run_end_to_end.py [workdir]
 """
 
-import math
 import sys
 from pathlib import Path
 
@@ -12,10 +11,10 @@ from selfieboost import (
     BoostConfig,
     NetworkArchitecture,
     SgdParams,
+    bound_suite,
     gen_realizable,
     run_selfieboost,
     save_model,
-    theorem_bound_check,
 )
 from selfieboost.data import save_csv
 
@@ -46,9 +45,7 @@ def main() -> int:
               f"potential {rec.potential_before:7.4f} -> {rec.potential_after:7.4f} "
               f"err={rec.train_err:.4f} retries={rec.retries_used}")
 
-    # the initial net's potential, as `selfieboost verify --suite bound` reads it
-    initial = result.records[0].potential_before if result.records else math.log(dataset.m)
-    ok = theorem_bound_check(result.records, dataset.m, initial, config.rho)
+    ok = bound_suite(result.records, dataset.m, config.rho).passed
     print(f"recorded-run bound check: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -50,10 +50,10 @@ from .sampling import (
     weights_from_margins,
 )
 from .verify import (
+    bound_suite,
     iteration_count_for,
     lse_inequality_deficit,
     oracle_step,
-    theorem_bound_check,
 )
 
 __version__ = "0.1.0"

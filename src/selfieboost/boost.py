@@ -120,7 +120,6 @@ class MarginCache:
     the resampling weights ``probs``, the potential ``log(sum(exp(-margins)))``
     and the number of margins at or below zero."""
 
-    margins: np.ndarray
     raw_scores: np.ndarray
     labels: np.ndarray
     probs: np.ndarray
@@ -169,7 +168,6 @@ def cache_from_scores(raw_scores: np.ndarray, labels: np.ndarray) -> MarginCache
     margins = labels * raw_scores
     probs, potential = weights_from_margins(margins)
     return MarginCache(
-        margins=margins,
         raw_scores=raw_scores,
         labels=labels,
         probs=probs,
@@ -281,8 +279,9 @@ def edge(cache: MarginCache, candidate_scores: np.ndarray, rho: float = 0.1) -> 
     if candidate_scores.shape != cache.raw_scores.shape:
         raise ShapeError("candidate scores length must match the cache")
     candidate = cache_from_scores(candidate_scores, cache.labels)
-    d = cache.labels * (candidate_scores - cache.raw_scores)
-    terms = cache.probs * (-d + 0.5 * d * d)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: edge inf or nan, rejected
+        d = cache.labels * (candidate_scores - cache.raw_scores)
+        terms = cache.probs * (-d + 0.5 * d * d)
     value = chunked_sum(terms)
     max_diff = float(np.max(d))
     violations = int(np.count_nonzero(d > 1.0))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 import time
 from dataclasses import astuple, dataclass, fields
@@ -146,6 +145,8 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
@@ -327,9 +328,7 @@ def cmd_verify(args) -> int:
         if args.m < 1:
             raise ConfigError(f"--m must be >= 1, got {args.m}")
         records = read_metrics_csv(args.metrics)
-        # the first record's potential_before is the initial net's potential
-        initial = records[0].potential_before if records else math.log(args.m)
-        suites["bound"] = lambda seed: verify.bound_suite(records, args.m, initial, args.rho)
+        suites["bound"] = lambda seed: verify.bound_suite(records, args.m, args.rho)
     reports = [suites[name](seed=args.seed) for name in names]
     all_ok = True
     for rep in reports:

@@ -2,8 +2,8 @@
 
 Three facts carry the analysis, and each is checkable in isolation:
 
-* a second-order log-sum-exp bound that holds whenever no coordinate drops
-  by more than 1,
+* a second-order log-sum-exp bound, defined where no coordinate drops by
+  more than 1 and claimed where no coordinate rises (no margin drops),
 * the existence of a candidate (scores shifted by the labels) whose edge is
   exactly -1/2 under any example distribution,
 * the chained potential decrease that turns accepted iterations into an
@@ -80,39 +80,6 @@ def oracle_step(cache: MarginCache, labels: np.ndarray) -> np.ndarray:
     and its max margin shift is exactly 1.
     """
     return cache.raw_scores + np.asarray(labels, dtype=np.float64)
-
-
-def theorem_bound_check(
-    records: Sequence[IterationRecord],
-    m: int,
-    initial_potential: float,
-    rho: float,
-) -> bool:
-    """Check the recorded run against the convergence guarantee.
-
-    (a) every accepted record dropped the potential by at least ``rho``;
-    (b) final mistakes are at most ``exp(initial_potential - rho * k)`` for
-    ``k`` accepted iterations.  With ``initial_potential = log m`` (the
-    zero-net start) (b) is exactly ``err <= exp(-rho * k)``.
-    """
-    _validate_records(records, m)
-    for rec in records:
-        if not rec.potential_after <= rec.potential_before - rho + CHAIN_TOL:
-            return False
-    if not records:
-        return True
-    k = len(records)
-    log_bound = initial_potential - rho * k
-    bound = math.exp(log_bound) if log_bound < 700 else math.inf
-    return records[-1].mistakes <= bound + CHAIN_TOL
-
-
-def _validate_records(records: Sequence[IterationRecord], m: int) -> None:
-    for rec in records:
-        if not (math.isfinite(rec.potential_before) and math.isfinite(rec.potential_after)):
-            raise ValidationError(f"record t={rec.t}: non-finite potential")
-        if not (0 <= rec.mistakes <= m):
-            raise ValidationError(f"record t={rec.t}: mistakes {rec.mistakes} outside [0, {m}]")
 
 
 def iteration_count_for(epsilon: float, rho: float) -> int:
@@ -205,21 +172,34 @@ def grad_suite(trials_per_activation: int = 10, seed: int = 0) -> SuiteReport:
     return SuiteReport("grad", count, worst, worst <= 1e-6)
 
 
-def bound_suite(
-    records: Sequence[IterationRecord],
-    m: int,
-    initial_potential: float,
-    rho: float,
-) -> SuiteReport:
-    """Wraps :func:`theorem_bound_check` plus the per-iteration chain
-    ``potential_after - potential_before <= edge``, reporting the worst slack."""
-    ok = theorem_bound_check(records, m, initial_potential, rho)
-    worst = -math.inf
-    for rec in records:
-        worst = max(worst, rec.potential_after - rec.potential_before + rho)
-        worst = max(worst, (rec.potential_after - rec.potential_before) - rec.edge)
-        if not rec.potential_after - rec.potential_before <= rec.edge + CHAIN_TOL:
-            ok = False
-    if not records:
-        worst = 0.0
-    return SuiteReport("bound", len(records), worst, ok and worst <= CHAIN_TOL)
+def bound_suite(records: Sequence[IterationRecord], m: int, rho: float) -> SuiteReport:
+    """Check a recorded run against the convergence guarantee.
+
+    The run starts at the first record's ``potential_before``, or at ``log m``
+    (the zero net's potential) when there are no records.  Record ``k`` must
+    have ``t == k``, start exactly where record ``k - 1`` ended, and drop the
+    potential by at least ``rho`` and by at least ``-edge`` (the chain
+    ``after - before <= edge``).  Final mistakes must be at most
+    ``exp(initial - rho * k)`` after ``k`` records.  The reported deficit is
+    the worst slack of the two per-record inequalities.
+    """
+    initial = records[0].potential_before if records else math.log(m)
+    worst = -math.inf if records else 0.0
+    ok = True
+    before = initial
+    for k, rec in enumerate(records, start=1):
+        if not (math.isfinite(rec.potential_before) and math.isfinite(rec.potential_after)):
+            raise ValidationError(f"record t={rec.t}: non-finite potential")
+        if not (0 <= rec.mistakes <= m):
+            raise ValidationError(f"record t={rec.t}: mistakes {rec.mistakes} outside [0, {m}]")
+        change = rec.potential_after - rec.potential_before
+        ok &= rec.t == k and rec.potential_before == before
+        ok &= rec.potential_after <= rec.potential_before - rho + CHAIN_TOL
+        ok &= change <= rec.edge + CHAIN_TOL
+        worst = max(worst, change + rho, change - rec.edge)
+        before = rec.potential_after
+    if records:
+        log_bound = initial - rho * len(records)
+        bound = math.exp(log_bound) if log_bound < 700 else math.inf
+        ok &= records[-1].mistakes <= bound + CHAIN_TOL
+    return SuiteReport("bound", len(records), worst, bool(ok and worst <= CHAIN_TOL))

@@ -66,13 +66,13 @@ class TestMarginCache:
         dataset, _ = small_data
         net = init_network(NetworkArchitecture(5, (16,)), 1, 0.0)
         cache = margins(net, dataset)
-        assert np.all(cache.margins == 0.0)
+        assert np.all(cache.labels * cache.raw_scores == 0.0)
         np.testing.assert_allclose(cache.probs, 1.0 / dataset.m, atol=1e-15)
         assert cache.potential == pytest.approx(math.log(dataset.m), abs=1e-12)
 
     def test_single_example_potential(self):
         cache = cache_from_scores(np.array([2.0]), np.array([1.0]))
-        assert cache.margins[0] == 2.0
+        assert (cache.labels * cache.raw_scores)[0] == 2.0
         assert cache.potential == -2.0
 
     def test_margins_match_scalar_forward_bitwise(self, small_data):
@@ -82,7 +82,7 @@ class TestMarginCache:
         looped = np.array(
             [dataset.labels[i] * forward(net, dataset.features[i]) for i in range(dataset.m)]
         )
-        np.testing.assert_array_equal(cache.margins, looped)
+        np.testing.assert_array_equal(cache.labels * cache.raw_scores, looped)
 
 
 class TestPotential:
@@ -100,7 +100,7 @@ class TestPotential:
             raw = rng.normal_block(80) * 3.0
             labels = np.where(rng.uniform_block(80) < 0.5, -1.0, 1.0)
             cache = cache_from_scores(raw, labels)
-            wrong = sum(1 for mv in cache.margins if mv <= 0.0)  # brute-force recount
+            wrong = sum(1 for mv in labels * raw if mv <= 0.0)  # brute-force recount
             if wrong >= 1:
                 assert math.log(wrong) <= cache.potential + 1e-12
 
@@ -205,7 +205,7 @@ class TestEdge:
             cand = raw + rng.normal_block(m)
             cache = cache_from_scores(raw, labels)
             report = edge(cache, cand, rho=0.1)
-            oracle_edge, oracle_mmd = brute_force_edge(cache.margins, raw, labels, cand)
+            oracle_edge, oracle_mmd = brute_force_edge(labels * raw, raw, labels, cand)
             assert report.edge == pytest.approx(oracle_edge, abs=1e-12)
             assert report.max_margin_diff == pytest.approx(oracle_mmd, abs=1e-15)
             assert report.accepted == (
@@ -336,11 +336,9 @@ class TestRunSelfieboost:
         assert all(rec.wall_ms == 0.0 for rec in small_run.records)
 
     def test_recorded_run_passes_bound_check(self, small_data, small_run):
-        from selfieboost.verify import theorem_bound_check
+        from selfieboost.verify import bound_suite
 
-        assert theorem_bound_check(
-            small_run.records, small_data[0].m, math.log(small_data[0].m), 0.1
-        )
+        assert bound_suite(small_run.records, small_data[0].m, 0.1).passed
 
     def test_widening_escalation_grows_adopted_nets(self, small_data, small_config):
         cfg = BoostConfig(
@@ -445,7 +443,7 @@ class TestRunSelfieboost:
             report = edge(cache, cand_scores, small_config.rho)
             if report.accepted:
                 oracle_edge, oracle_mmd = brute_force_edge(
-                    cache.margins, scores, dataset.labels, cand_scores
+                    dataset.labels * scores, scores, dataset.labels, cand_scores
                 )
                 assert oracle_edge < -small_config.rho + 1e-12
                 assert oracle_mmd <= 1.0 + 1e-12

@@ -1,5 +1,6 @@
 """Malformed inputs end with their documented exit code and one ``error:`` line,
-and the bound suite reads the initial potential from the metrics file."""
+and the bound suite reads the initial potential from the metrics file and
+fails records that do not chain."""
 
 import json
 import math
@@ -8,7 +9,9 @@ import sys
 
 import pytest
 
-from selfieboost.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, METRICS_HEADER, main
+from selfieboost.cli import (
+    EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, METRICS_HEADER, main,
+)
 
 TINY_CSV = "f0,f1,label\n0.5,1.0,1\n-0.5,-1.0,-1\n1.5,0.25,1\n"
 
@@ -72,19 +75,22 @@ def test_too_deeply_nested_json_is_malformed_input(tmp_path, capsys, kind, doc, 
     assert_one_error_line(capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("kind", ["train-data", "eval-data", "model", "ensemble"])
+@pytest.mark.parametrize("kind", ["train-data", "eval-data", "model", "ensemble", "config"])
 def test_non_utf8_input_file_is_malformed_input_naming_it(tmp_path, capsys, kind):
-    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    # a config file is a usage error, as every other bad config is
+    data, model, config = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "c.json"
     data.write_text(TINY_CSV)
     model.write_text('{"format_version":1,"alphas":[1.0],' + ONE_MEMBER + "}" if kind == "ensemble"
                      else MODEL % (1, 1.0))
-    bad = data if kind.endswith("data") else model
+    config.write_text(json.dumps({"data_path": str(data), "sgd": {"lr": 1.0}}))
+    bad = {"train-data": data, "eval-data": data, "config": config}.get(kind, model)
     bad.write_bytes(bad.read_bytes().replace(b"1.0", b"1\xff.0", 1))
-    if kind == "train-data":
+    if kind in ("train-data", "config"):
         argv = ["train", "--data", str(data), "--T", "1", "--hidden", "4"]
+        argv += ["--config", str(config)] if kind == "config" else []
     else:
         argv = ["eval", "--model", str(model), "--data", str(data)]
-    assert main(argv) == EXIT_IO
+    assert main(argv) == (EXIT_USAGE if kind == "config" else EXIT_IO)
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in err
@@ -245,12 +251,38 @@ def test_bound_suite_starts_from_recorded_potential(tmp_path, capsys):
     assert code == EXIT_OK and "PASS" in out
 
 
+@pytest.mark.parametrize("second", [
+    "7,-0.5,4.0,3.5,0.01,1,0,500,32,0.0",
+    "2,-0.5,9.0,4.2,0.01,1,0,500,32,0.0",
+    "7,-0.5,9.0,4.2,0.01,1,0,500,32,0.0",
+], ids=["t-jump", "potential-gap", "both"])
+def test_bound_suite_fails_records_that_do_not_chain(tmp_path, capsys, second):
+    # each row alone drops the potential by more than rho and |edge|
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(f"{METRICS_HEADER}\n1,-0.5,{math.log(100)!r},4.0,0.1,10,0,500,32,0.0\n{second}\n")
+    code = main(["verify", "--suite", "bound", "--metrics", str(metrics), "--m", "100", "--rho", "0.1"])
+    out = capsys.readouterr().out
+    assert code == EXIT_VERIFY_FAIL and out.startswith("bound        2 ") and out.endswith(" FAIL\n")
+
+
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would reach stderr
 def test_overflowing_model_is_numeric_error(tmp_path, capsys):
     # finite weights whose scores overflow on the third row
     (tmp_path / "d.csv").write_text(TINY_CSV)
     (tmp_path / "m.json").write_text(MODEL.replace('"b":[0.0]', '"b":[1e308]') % (1, "1e308"))
     code = main(["eval", "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "d.csv")])
+    assert code == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert_one_error_line(err)
+    assert out == ""
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would reach stderr
+def test_overflowing_margin_shift_in_training_is_numeric_error(tmp_path, capsys):
+    # the 1e308 feature makes the first candidate's margin shift overflow in edge
+    (tmp_path / "d.csv").write_text("f0,f1,label\n1e308,1.0,1\n-1.5,1.0,-1\n0.5,-2,1\n")
+    code = main(["train", "--data", str(tmp_path / "d.csv"), "--out-model", str(tmp_path / "m.json"),
+                 "--hidden", "4", "--T", "2", "--seed", "1", "--activation", "relu"])
     assert code == EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert_one_error_line(err)

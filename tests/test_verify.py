@@ -16,7 +16,6 @@ from selfieboost.verify import (
     lse_inequality_deficit,
     lse_suite,
     oracle_step,
-    theorem_bound_check,
 )
 
 
@@ -90,29 +89,44 @@ class TestOracleStep:
 
 
 class TestTheoremBoundCheck:
+    """``bound_suite``: a recorded run against the convergence theorem's bound."""
+
     def test_empty_records_pass(self):
-        assert theorem_bound_check([], m=100, initial_potential=math.log(100), rho=0.1)
+        rep = bound_suite([], m=100, rho=0.1)
+        assert rep.passed and rep.instances == 0 and rep.worst_deficit == 0.0
 
     def test_consistent_records_pass(self):
         recs = [
             record(1, -0.15, math.log(100), math.log(100) - 0.15, 20),
             record(2, -0.12, math.log(100) - 0.15, math.log(100) - 0.27, 5),
         ]
-        assert theorem_bound_check(recs, 100, math.log(100), 0.1)
+        assert bound_suite(recs, 100, 0.1).passed
 
     def test_tampered_potential_fails(self):
-        recs = [record(1, -0.15, 4.6, 4.55, 20)]  # dropped by only 0.05 < rho
-        assert not theorem_bound_check(recs, 100, 4.6, 0.1)
+        recs = [record(1, -0.05, 4.6, 4.55, 20)]  # dropped by only 0.05 < rho
+        assert not bound_suite(recs, 100, 0.1).passed
 
     def test_excess_mistakes_fail(self):
         recs = [record(1, -0.15, math.log(100), math.log(100) - 0.2, 99)]
-        assert not theorem_bound_check(recs, 100, math.log(100), 0.1)
+        assert not bound_suite(recs, 100, 0.1).passed
 
     def test_malformed_records_raise(self):
         with pytest.raises(ValidationError):
-            theorem_bound_check([record(1, -0.2, math.nan, 1.0, 3)], 100, 4.6, 0.1)
+            bound_suite([record(1, -0.2, math.nan, 1.0, 3)], 100, 0.1)
         with pytest.raises(ValidationError):
-            theorem_bound_check([record(1, -0.2, 4.0, 3.8, -2)], 100, 4.6, 0.1)
+            bound_suite([record(1, -0.2, 4.0, 3.8, -2)], 100, 0.1)
+
+    def test_gap_between_records_fails(self):
+        # each record drops by rho, but the second starts above where the first ended
+        recs = [record(1, -0.5, math.log(100), 4.0, 10), record(2, -0.5, 9.0, 4.2, 1)]
+        assert bound_suite(recs[:1], 100, 0.1).passed
+        assert not bound_suite(recs, 100, 0.1).passed
+
+    def test_jump_in_t_fails(self):
+        recs = [record(1, -0.5, math.log(100), 4.0, 10), record(3, -0.5, 4.0, 3.5, 1)]
+        assert bound_suite([recs[0], record(2, -0.5, 4.0, 3.5, 1)], 100, 0.1).passed
+        assert not bound_suite(recs, 100, 0.1).passed
+        assert not bound_suite([record(2, -0.5, 4.0, 3.5, 1)], 100, 0.1).passed
 
 
 class TestIterationCount:
@@ -168,5 +182,5 @@ class TestSuites:
 
     def test_bound_suite_flags_bad_chain(self):
         bad = [record(1, -0.2, 4.6, 4.5, 10)]  # potential fell less than |edge|
-        rep = bound_suite(bad, 100, 4.6, 0.1)
+        rep = bound_suite(bad, 100, 0.1)
         assert not rep.passed
