@@ -75,6 +75,9 @@ COMMANDS = (
     # non-finite options and a rho that train rejects: exit 64 before any work
     ("growinf", f"train --data data.csv --out-model growinf.json --metrics growinf.csv {README_TRAIN} "
                 "--sgd-growth inf"),
+    # the first attempt is rejected and its grown budget overflows: exit 4, no traceback
+    ("growbig", "train --data data.csv --out-model growbig.json --metrics growbig.csv --T 1 "
+                "--sgd-steps 2 --max-retries 1 --sgd-growth 1e308 --seed 42"),
     ("verifyrho", "verify --metrics metrics.csv --m 2000 --rho -1"),
 )
 

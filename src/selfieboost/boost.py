@@ -177,7 +177,7 @@ def cache_from_scores(raw_scores: np.ndarray, labels: np.ndarray) -> MarginCache
 
 
 def margins(net: FeedForwardNet, data: Dataset, threads: int = 1) -> MarginCache:
-    """One forward sweep over the dataset: the one way to score a net on it.
+    """A net's scores on the dataset, from one forward sweep, as a cache.
     Non-finite scores raise :class:`NumericError`."""
     with np.errstate(all="ignore"):  # overflow surfaces in the check below
         scores = forward_batch(net, data.features, threads)
@@ -190,17 +190,8 @@ def err(net: FeedForwardNet, data: Dataset) -> float:
     return margins(net, data).mistakes / data.m
 
 
-def surrogate_loss(labels: np.ndarray, snapshot: np.ndarray, candidate: np.ndarray) -> np.ndarray:
-    """Per-example ``y*(f - g) + (g - f)^2 / 2``.
-
-    Zero at ``g = f`` and exactly ``-1/2`` at ``g = f + y``, its minimum.
-    """
-    diff = np.asarray(candidate) - np.asarray(snapshot)
-    return -np.asarray(labels) * diff + 0.5 * diff * diff
-
-
 def surrogate_output_grad(labels: np.ndarray, snapshot: np.ndarray, candidate: np.ndarray) -> np.ndarray:
-    """Derivative of the per-example surrogate loss wrt the candidate score."""
+    """Derivative wrt the candidate score ``g`` of the surrogate ``-y (g - f) + (g - f)^2 / 2``."""
     return -np.asarray(labels) + (np.asarray(candidate) - np.asarray(snapshot))
 
 
@@ -327,7 +318,8 @@ def run_selfieboost(
     edge on the full dataset.  Rejected candidates escalate per the retry
     policy (more SGD steps, optional widening, smaller learning rate after
     clip violations) with a fresh working set each time; when retries are
-    exhausted, or the shrunk learning rate underflows to 0, the run stops
+    exhausted, the shrunk learning rate underflows to 0, or the grown budget's
+    ``steps * batch`` picks overflow what one array can hold, the run stops
     with ``no_candidate_found``.  Stops early with
     ``zero_training_error`` once the current net makes no mistakes.
 
@@ -361,9 +353,7 @@ def run_selfieboost(
             if cur_lr == 0.0:  # shrunk to underflow: no attempt at lr 0 can move the net
                 break
             working_set = sample_indices(table, n, rng_sets)
-            candidate = net.copy()
-            if cur_widen > 0:
-                candidate = widen(candidate, cur_widen, rng_widen.next_u64())
+            candidate = widen(net, cur_widen, rng_widen.next_u64()) if cur_widen else net.copy()
             violation = True  # a numeric blow-up also warrants a smaller lr
             try:
                 sgd_inner(
@@ -383,6 +373,8 @@ def run_selfieboost(
                 if accepted:
                     break
                 violation = report.violation_count > 0
+            if not cur_steps * config.retry.sgd_growth * config.sgd.batch <= np.iinfo(np.intp).max:
+                break  # the grown budget's picks are inf or more than one array can hold
             cur_steps = int(np.ceil(cur_steps * config.retry.sgd_growth))
             if violation:
                 cur_lr *= config.retry.lr_shrink

@@ -116,7 +116,7 @@ def test_c3_lemma_oracle():
         features = rng.normal_block(m * d).reshape(m, d)
         labels = np.where(rng.uniform_block(m) < 0.5, -1.0, 1.0)
         cache = cache_from_scores(forward_batch(net, features), labels)
-        step = oracle_step(cache, labels)
+        step = oracle_step(cache)
         rep = edge(cache, step, rho=0.1)
         if abs(rep.edge + 0.5) > 1e-12:
             failures.append(f"trial {trial}: edge {rep.edge!r}")

@@ -19,7 +19,6 @@ from selfieboost.boost import (
     margins,
     run_selfieboost,
     sgd_inner,
-    surrogate_loss,
     surrogate_output_grad,
 )
 from selfieboost.data import Dataset, gen_realizable
@@ -129,19 +128,6 @@ class TestMistakes:
 
 
 class TestSurrogate:
-    def test_zero_at_warm_start(self):
-        labels = np.array([1.0, -1.0])
-        snap = np.array([0.25, -1.5])
-        np.testing.assert_array_equal(surrogate_loss(labels, snap, snap), [0.0, 0.0])
-
-    def test_minus_half_at_label_shift(self):
-        # dyadic scores keep g - f exact
-        labels = np.array([1.0, -1.0, 1.0])
-        snap = np.array([0.25, -1.5, 3.0])
-        np.testing.assert_array_equal(
-            surrogate_loss(labels, snap, snap + labels), [-0.5, -0.5, -0.5]
-        )
-
     def test_output_gradient_sign(self):
         # at g = f with y = +1 the derivative is -1: a step raises the score
         assert surrogate_output_grad(np.array([1.0]), np.array([0.0]), np.array([0.0]))[0] == -1.0

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from selfieboost.cli import (
-    EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, METRICS_HEADER, main,
+    EXIT_BREAK, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, METRICS_HEADER, main,
 )
 
 TINY_CSV = "f0,f1,label\n0.5,1.0,1\n-0.5,-1.0,-1\n1.5,0.25,1\n"
@@ -326,3 +326,20 @@ def test_non_finite_tau_is_usage_error_before_work(tmp_path, capsys, tau):
     out, err = capsys.readouterr()
     assert_one_error_line(err)
     assert "tau" in err and out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("steps, growth", [("2", "1e308"), ("3", "1e300")], ids=["inf", "too-many-picks"])
+def test_sgd_growth_beyond_one_array_finds_no_candidate(tmp_path, capsys, steps, growth):
+    # the first attempt is rejected; the grown budget's steps * batch picks are
+    # inf, or finite but more than one numpy array can hold
+    data, model, metrics = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "m.csv"
+    assert main(["gen-data", "--m", "2000", "--d", "10", "--seed", "42",
+                 "--out", str(data), "--teacher-out", str(tmp_path / "t.json")]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--out-model", str(model), "--metrics", str(metrics),
+                 "--T", "1", "--sgd-steps", steps, "--max-retries", "1", "--sgd-growth", growth,
+                 "--seed", "42"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_BREAK, "")
+    assert "stop_reason=no_candidate_found" in out
+    assert model.exists() and metrics.read_text() == METRICS_HEADER + "\n"

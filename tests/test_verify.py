@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfieboost import boost
 from selfieboost.boost import IterationRecord, cache_from_scores, edge
 from selfieboost.errors import DomainError, ValidationError
 from selfieboost.sampling import SplitMix64
@@ -65,6 +67,19 @@ class TestLseDeficit:
         deficit = lse_inequality_deficit(np.array([10.0, 0.0]), np.array([10.0, 3.0]))
         assert deficit < -1e-4
 
+    def test_suite_checks_the_deciding_edge(self, monkeypatch):
+        """A shift in ``boost.edge`` itself must fail the lse suite: the
+        suite checks the code that decides acceptance, not a copy of it."""
+        real_edge = boost.edge
+
+        def shifted_edge(*args, **kwargs):
+            report = real_edge(*args, **kwargs)
+            return dataclasses.replace(report, edge=report.edge - 0.01)
+
+        assert lse_suite(pairs=200).passed
+        monkeypatch.setattr(boost, "edge", shifted_edge)
+        assert not lse_suite(pairs=200).passed
+
 
 class TestOracleStep:
     def test_edge_is_minus_half_for_any_distribution(self):
@@ -74,7 +89,7 @@ class TestOracleStep:
             raw = rng.normal_block(m) * (10.0 ** (rng.uniform() * 2 - 1))
             labels = np.where(rng.uniform_block(m) < 0.5, -1.0, 1.0)
             cache = cache_from_scores(raw, labels)
-            step = oracle_step(cache, labels)
+            step = oracle_step(cache)
             report = edge(cache, step, rho=0.1)
             assert report.edge == pytest.approx(-0.5, abs=1e-12)
             assert report.max_margin_diff == pytest.approx(1.0, abs=1e-12)
@@ -83,7 +98,7 @@ class TestOracleStep:
         raw = np.array([0.5, -2.0, 1.25])
         labels = np.array([1.0, -1.0, -1.0])
         cache = cache_from_scores(raw, labels)
-        report = edge(cache, oracle_step(cache, labels), rho=0.2)
+        report = edge(cache, oracle_step(cache), rho=0.2)
         assert report.max_margin_diff == 1.0
         assert report.accepted
 
@@ -121,6 +136,11 @@ class TestTheoremBoundCheck:
         recs = [record(1, -0.5, math.log(100), 4.0, 10), record(2, -0.5, 9.0, 4.2, 1)]
         assert bound_suite(recs[:1], 100, 0.1).passed
         assert not bound_suite(recs, 100, 0.1).passed
+
+    def test_nan_edge_fails(self):
+        start = math.log(100)
+        assert bound_suite([record(1, -0.15, start, start - 0.15, 20)], 100, 0.1).passed
+        assert not bound_suite([record(1, math.nan, start, start - 0.15, 20)], 100, 0.1).passed
 
     def test_jump_in_t_fails(self):
         recs = [record(1, -0.5, math.log(100), 4.0, 10), record(3, -0.5, 4.0, 3.5, 1)]
