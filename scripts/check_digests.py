@@ -78,6 +78,9 @@ COMMANDS = (
     # the first attempt is rejected and its grown budget overflows: exit 4, no traceback
     ("growbig", "train --data data.csv --out-model growbig.json --metrics growbig.csv --T 1 "
                 "--sgd-steps 2 --max-retries 1 --sgd-growth 1e308 --seed 42"),
+    # fewer picks than the largest intp, but more bytes than one array can hold: exit 4
+    ("growbig16", "train --data data.csv --out-model growbig16.json --metrics growbig16.csv --T 1 "
+                  "--sgd-steps 2 --max-retries 1 --sgd-growth 5e16 --seed 42"),
     ("verifyrho", "verify --metrics metrics.csv --m 2000 --rho -1"),
 )
 

@@ -234,7 +234,9 @@ def sgd_inner(
 
     ``snapshot_scores`` are the frozen scores of the current network over the
     full dataset; the candidate should start as a copy of it (warm start, at
-    surrogate loss zero).
+    surrogate loss zero), or be an earlier call's candidate on the same working
+    set: picks are counter-based, so ``k`` steps and then ``j`` more from one
+    generator give bit for bit one ``k + j``-step run.
 
     Each update applies the minibatch-mean gradient scaled by a further
     ``1/n``, so ``lr`` measures the total parameter movement of one full pass
@@ -316,11 +318,15 @@ def run_selfieboost(
     Per iteration: cache margins, resample a working set, warm-start a
     candidate from the current net, optimize the surrogate, and test the
     edge on the full dataset.  Rejected candidates escalate per the retry
-    policy (more SGD steps, optional widening, smaller learning rate after
-    clip violations) with a fresh working set each time; when retries are
-    exhausted, the shrunk learning rate underflows to 0, or the grown budget's
-    ``steps * batch`` picks overflow what one array can hold, the run stops
-    with ``no_candidate_found``.  Stops early with
+    policy: more SGD steps, optional widening, and a smaller learning rate
+    after a clip violation or a numeric blow-up.  A candidate rejected only
+    for a shallow edge keeps its working set and runs just the steps the grown
+    budget adds, which gives bit for bit the candidate of one grown run on that
+    set; every other retry (a smaller lr, widening, or a budget that does not
+    grow) draws a fresh working set and starts again from the current net.
+    When retries are exhausted, the shrunk learning rate underflows to 0, or
+    the grown budget's ``steps * batch`` 8-byte picks overflow what one array
+    can hold, the run stops with ``no_candidate_found``.  Stops early with
     ``zero_training_error`` once the current net makes no mistakes.
 
     With ``measure_time=False`` (the default) ``wall_ms`` is recorded as 0.0
@@ -348,12 +354,15 @@ def run_selfieboost(
         cur_steps = config.sgd.steps
         cur_lr = config.sgd.lr
         cur_widen = 0
+        done_steps = 0  # SGD steps the candidate already has on its working set
         accepted = False
         for attempt in range(config.retry.max_retries + 1):
             if cur_lr == 0.0:  # shrunk to underflow: no attempt at lr 0 can move the net
                 break
-            working_set = sample_indices(table, n, rng_sets)
-            candidate = widen(net, cur_widen, rng_widen.next_u64()) if cur_widen else net.copy()
+            report = None  # free the rejected candidate's full-dataset cache before this sweep
+            if not done_steps:
+                working_set = sample_indices(table, n, rng_sets)
+                candidate = widen(net, cur_widen, rng_widen.next_u64()) if cur_widen else net.copy()
             violation = True  # a numeric blow-up also warrants a smaller lr
             try:
                 sgd_inner(
@@ -361,7 +370,7 @@ def run_selfieboost(
                     working_set,
                     cache.raw_scores,
                     candidate,
-                    SgdParams(cur_steps, cur_lr, config.sgd.batch),
+                    SgdParams(cur_steps - done_steps, cur_lr, config.sgd.batch),
                     rng_sgd,
                 )
                 report = edge(cache, forward_batch(candidate, data.features, threads), config.rho)
@@ -373,9 +382,14 @@ def run_selfieboost(
                 if accepted:
                     break
                 violation = report.violation_count > 0
-            if not cur_steps * config.retry.sgd_growth * config.sgd.batch <= np.iinfo(np.intp).max:
-                break  # the grown budget's picks are inf or more than one array can hold
-            cur_steps = int(np.ceil(cur_steps * config.retry.sgd_growth))
+            if not cur_steps * config.retry.sgd_growth * config.sgd.batch * 8 <= np.iinfo(np.intp).max:
+                break  # the grown budget's 8-byte picks are inf or more than one array can hold
+            grown = int(np.ceil(cur_steps * config.retry.sgd_growth))
+            # a shallow rejection keeps its working set, lr and width, so the
+            # added steps alone give the candidate one grown run would give
+            resume = not violation and not config.retry.widen_units and grown > cur_steps
+            done_steps = cur_steps if resume else 0
+            cur_steps = grown
             if violation:
                 cur_lr *= config.retry.lr_shrink
             cur_widen += config.retry.widen_units

@@ -46,6 +46,33 @@ def small_run(small_data, small_config):
     return run_selfieboost(small_data[0], small_config)
 
 
+def record_attempts(monkeypatch):
+    """Log each ``sgd_inner`` call of a run, in order: its working set,
+    candidate, steps, lr and width, and the edge report that follows it
+    (``None`` after a ``NumericError``)."""
+    inner, edge_fn, attempts = boost.sgd_inner, boost.edge, []
+
+    def recording_inner(data, working_set, snapshot, candidate, params, rng):
+        attempts.append({
+            "working_set": working_set, "candidate": candidate, "steps": params.steps,
+            "lr": params.lr, "width": candidate.architecture.hidden_layers[-1], "report": None,
+        })
+        return inner(data, working_set, snapshot, candidate, params, rng)
+
+    def recording_edge(*args):
+        attempts[-1]["report"] = edge_fn(*args)
+        return attempts[-1]["report"]
+
+    monkeypatch.setattr(boost, "sgd_inner", recording_inner)
+    monkeypatch.setattr(boost, "edge", recording_edge)
+    return attempts
+
+
+def is_shallow(attempt):
+    report = attempt["report"]
+    return report is not None and not report.accepted and report.violation_count == 0
+
+
 def brute_force_edge(margins_vec, raw, labels, cand):
     """Independent loop: own softmax weights, own functional accumulation."""
     m = len(raw)
@@ -152,6 +179,23 @@ class TestSgdInner:
         sgd_inner(dataset, np.array([0]), snapshot, candidate, SgdParams(10, 0.001, 1), SplitMix64(1))
         moved = forward(candidate, dataset.features[0]) - snapshot[0]
         assert moved > 0.0  # label +1 pulls the score up
+
+    def test_continued_candidate_equals_one_longer_run_bit_for_bit(self, small_data):
+        dataset, _ = small_data
+        net = init_network(NetworkArchitecture(5, (16,)), 4, 0.5)
+        snapshot = forward_batch(net, dataset.features)
+        working_set = np.arange(0, dataset.m, 2)
+        rng = SplitMix64(11)
+        fresh = copy.copy(rng)
+        continued, longer = net.copy(), net.copy()
+        sgd_inner(dataset, working_set, snapshot, continued, SgdParams(500, 0.05, 16), rng)
+        halfway = continued.copy()
+        sgd_inner(dataset, working_set, snapshot, continued, SgdParams(500, 0.05, 16), rng)
+        sgd_inner(dataset, working_set, snapshot, longer, SgdParams(1000, 0.05, 16), fresh)
+        assert not np.array_equal(halfway.weights[0], continued.weights[0])
+        for a, b in zip(continued.weights + continued.biases, longer.weights + longer.biases):
+            assert a.tobytes() == b.tobytes()
+        assert rng.next_u64() == fresh.next_u64()
 
     def test_non_finite_bias_raises(self):
         # the output bias overflows to inf while every weight and score stays finite
@@ -389,6 +433,75 @@ class TestRunSelfieboost:
         assert [r.retries_used for r in result.records] == [4, 2, 2, 2]
         assert len(aborts) == 4 and all(c < steps for c, steps in aborts)
 
+    def test_shallow_rejection_continues_on_its_working_set(self, small_data, small_config, monkeypatch):
+        attempts = record_attempts(monkeypatch)
+        result = run_selfieboost(small_data[0], small_config)
+        shallow = [k for k, a in enumerate(attempts[:-1]) if is_shallow(a)]
+        assert len(shallow) >= 8
+        total = 0  # the candidate's steps so far on its working set
+        for k, attempt in enumerate(attempts):
+            total = total + attempt["steps"] if k - 1 in shallow else attempt["steps"]
+            if k in shallow:
+                after = attempts[k + 1]
+                assert after["working_set"] is attempt["working_set"]
+                assert after["candidate"] is attempt["candidate"]
+                assert after["steps"] == math.ceil(total * 2.0) - total
+                assert after["lr"] == attempt["lr"]
+            if attempt["report"].accepted:
+                # retries and sgd_steps keep their meaning: rejected attempts
+                # before this one, and this candidate's total budget
+                record = result.records[sum(a["report"].accepted for a in attempts[:k])]
+                assert record.sgd_steps_used == total
+
+    def test_retries_restart_when_the_budget_does_not_grow(self, small_data, monkeypatch):
+        cfg = BoostConfig(
+            rho=0.1, T=6, n=128, sgd=SgdParams(300, 0.05, 16),
+            retry=RetryPolicy(sgd_growth=1.0), seed=3, init_scale=0.0, hidden=(16,),
+        )
+        attempts = record_attempts(monkeypatch)
+        run_selfieboost(small_data[0], cfg)
+        assert sum(map(is_shallow, attempts)) >= 5
+        assert [a["steps"] for a in attempts] == [300] * len(attempts)
+        assert len({id(a["working_set"]) for a in attempts}) == len(attempts)
+
+    def test_widening_retries_restart_on_a_fresh_working_set(self, small_data, monkeypatch):
+        cfg = BoostConfig(
+            rho=0.1, T=6, n=128, sgd=SgdParams(100, 0.05, 16),
+            retry=RetryPolicy(max_retries=5, sgd_growth=1.5, widen_units=4, lr_shrink=0.5),
+            seed=3, init_scale=0.0, hidden=(16,),
+        )
+        attempts = record_attempts(monkeypatch)
+        result = run_selfieboost(small_data[0], cfg)
+        assert sum(map(is_shallow, attempts)) >= 6
+        assert len({id(a["working_set"]) for a in attempts}) == len(attempts)
+        assert len({id(a["candidate"]) for a in attempts}) == len(attempts)
+        k, width = 0, 16
+        for r in result.records:
+            for retry in range(r.retries_used + 1):
+                assert attempts[k]["steps"] == [100, 150, 225, 338][retry]
+                assert attempts[k]["width"] == width + 4 * retry
+                k += 1
+            width = r.widened_to
+        assert k == len(attempts)
+
+    def test_clip_and_numeric_rejections_restart_with_the_shrunk_lr(self, monkeypatch):
+        dataset, _ = gen_realizable(300, 5, NetworkArchitecture(5, (8,)), 0.1, 3)
+        cfg = BoostConfig(
+            T=4, n=64, hidden=(8,), sgd=SgdParams(50, 3e5, 16),
+            retry=RetryPolicy(5, 1.5, 0, 1e-3), seed=1,
+        )
+        attempts = record_attempts(monkeypatch)
+        run_selfieboost(dataset, cfg)
+        numeric = [k for k, a in enumerate(attempts) if a["report"] is None]
+        clip = [k for k, a in enumerate(attempts) if a["report"] and a["report"].violation_count > 0]
+        assert len(numeric) == 4 and len(clip) == 4
+        for k in numeric + clip:
+            before, after = attempts[k], attempts[k + 1]
+            assert after["working_set"] is not before["working_set"]
+            assert after["candidate"] is not before["candidate"]
+            assert after["lr"] == before["lr"] * 1e-3
+            assert after["steps"] == math.ceil(before["steps"] * 1.5)
+
     def test_underflowed_lr_ends_the_run_before_an_attempt_at_lr_0(self, monkeypatch):
         dataset, _ = gen_realizable(300, 5, NetworkArchitecture(5, (4,)), 0.1, 3)
         cfg = BoostConfig(
@@ -406,7 +519,7 @@ class TestRunSelfieboost:
         assert result.records == ()
         assert lrs == [0.4] * 500  # one attempt: it violates the clip, and 0.4 * 5e-324 is 0
 
-    def test_acceptance_soundness_replay(self, small_data, small_config):
+    def test_acceptance_soundness_replay(self, small_data, small_config, small_run):
         """Manually replay one iteration and recheck adoption with the oracle."""
         dataset, _ = small_data
         from selfieboost.boost import _initial_net
@@ -420,11 +533,12 @@ class TestRunSelfieboost:
         table = build_alias(cache.probs)
         rng_sets = SplitMix64(derive_seed(small_config.seed, 1))
         rng_sgd = SplitMix64(derive_seed(small_config.seed, 2))
-        steps, lr = small_config.sgd.steps, small_config.sgd.lr
+        steps, done, lr = small_config.sgd.steps, 0, small_config.sgd.lr
         for _ in range(small_config.retry.max_retries + 1):
-            working = sample_indices(table, 128, rng_sets)
-            candidate = net.copy()
-            sgd_inner(dataset, working, scores, candidate, SgdParams(steps, lr, 16), rng_sgd)
+            if not done:  # a shallow rejection keeps its working set and candidate
+                working = sample_indices(table, 128, rng_sets)
+                candidate = net.copy()
+            sgd_inner(dataset, working, scores, candidate, SgdParams(steps - done, lr, 16), rng_sgd)
             cand_scores = forward_batch(candidate, dataset.features)
             report = edge(cache, cand_scores, small_config.rho)
             if report.accepted:
@@ -433,7 +547,9 @@ class TestRunSelfieboost:
                 )
                 assert oracle_edge < -small_config.rho + 1e-12
                 assert oracle_mmd <= 1.0 + 1e-12
+                assert report.edge == small_run.records[0].edge
                 break
+            done = 0 if report.violation_count > 0 else steps
             steps = int(np.ceil(steps * small_config.retry.sgd_growth))
             if report.violation_count > 0:
                 lr *= small_config.retry.lr_shrink

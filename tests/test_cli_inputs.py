@@ -328,10 +328,12 @@ def test_non_finite_tau_is_usage_error_before_work(tmp_path, capsys, tau):
     assert "tau" in err and out == "" and not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("steps, growth", [("2", "1e308"), ("3", "1e300")], ids=["inf", "too-many-picks"])
+@pytest.mark.parametrize("steps, growth", [("2", "1e308"), ("2", "5e16"), ("3", "1e300")],
+                         ids=["inf", "too-many-bytes", "too-many-picks"])
 def test_sgd_growth_beyond_one_array_finds_no_candidate(tmp_path, capsys, steps, growth):
     # the first attempt is rejected; the grown budget's steps * batch picks are
-    # inf, or finite but more than one numpy array can hold
+    # inf, or finite but more than one numpy array can hold: at 5e16 there are
+    # fewer picks than the largest intp, but not 8 bytes each
     data, model, metrics = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "m.csv"
     assert main(["gen-data", "--m", "2000", "--d", "10", "--seed", "42",
                  "--out", str(data), "--teacher-out", str(tmp_path / "t.json")]) == EXIT_OK
