@@ -5,8 +5,10 @@ directory and are digested with the model, metrics and data files, so two
 checkouts that print the same lines behave byte-identically on this set.
 Two reformatted copies of ``data.csv`` are evaluated as well, one read by
 numpy's reader and one by the row parser, and must print the same line.
-Last come the bound suite on ``metrics.csv`` with two rows swapped (exit 1)
-and a relu run whose first margin shift overflows (exit 5).
+Last come the bound suite on ``metrics.csv`` with two rows swapped (exit 1),
+a relu run whose first margin shift overflows (exit 5), and the eval of
+``mixed.json``, an ensemble whose members differ in depth, widths and
+activation.
 The commands run ``python -m selfieboost`` from whichever package the
 interpreter imports, e.g. ``PYTHONPATH=src``; relative ``PYTHONPATH`` entries
 are resolved against the directory the script starts in, not the work
@@ -16,6 +18,7 @@ Usage: python scripts/check_digests.py [workdir]   (an empty or new directory)
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -117,15 +120,26 @@ LATE_COMMANDS = (
     ("verifyswap", "verify --suite bound --metrics swapped.csv --m 2000"),
     ("ovf", "train --data ovfdata.csv --out-model ovf.json --metrics ovf.csv "
             "--hidden 4 --T 2 --seed 1 --activation relu"),
+    ("eval-mixed", "eval --model mixed.json --data data.csv"),
 )
+# hidden 2, 2, 32, (70, 9) relu, 32 and 4: two stacked groups, interleaved;
+# the weak members' large alphas and exact ties make the votes decide rows
+MIXED_MODELS = ("model.json", "relu.json", "sgd.json", "teacher.json")
+MIXED_ALPHAS = (1.0, 0.5, 0.5, 1.0, 0.3, 0.2)
 
 
 def write_late_inputs(workdir: Path) -> None:
     """``swapped.csv`` is ``metrics.csv`` with its first two rows swapped, which
-    breaks the chain of records; ``ovfdata.csv`` has a 1e308 feature."""
+    breaks the chain of records; ``ovfdata.csv`` has a 1e308 feature;
+    ``mixed.json`` holds the members of ``ens2.json`` and then the
+    ``MIXED_MODELS``, with the ``MIXED_ALPHAS``."""
     header, first, second, *rest = (workdir / "metrics.csv").read_text().splitlines(keepends=True)
     (workdir / "swapped.csv").write_text("".join([header, second, first, *rest]))
     (workdir / "ovfdata.csv").write_text("f0,f1,label\n1e308,1.0,1\n-1.5,1.0,-1\n0.5,-2,1\n")
+    members = json.loads((workdir / "ens2.json").read_text())["members"]
+    members += [json.loads((workdir / name).read_text()) for name in MIXED_MODELS]
+    mixed = {"format_version": 1, "alphas": list(MIXED_ALPHAS), "members": members}
+    (workdir / "mixed.json").write_text(json.dumps(mixed) + "\n")
 
 
 def run(workdir: Path, name: str, argv: list[str]) -> None:

@@ -8,8 +8,10 @@ three invariances hold bit for bit (``tests/test_nnet.py`` checks each): a row
 scores the same alone as in any batch, at any offset, stride or memory order,
 so :func:`forward_batch` equals looped :func:`forward` at any thread count;
 zero-weight inputs appended by :func:`widen` change no output; appended output
-units leave the others as they were.  Bit equality across CPU architectures
-or numpy builds is not claimed.
+units leave the others as they were.  By the last two, :func:`forward_stacked`
+scores a group of nets with one einsum per layer and gives each net the bits
+of :func:`forward_batch`.  Bit equality across CPU architectures or numpy
+builds is not claimed.
 """
 
 from __future__ import annotations
@@ -132,21 +134,25 @@ def init_network(arch: NetworkArchitecture, seed: int, scale: float) -> FeedForw
     return FeedForwardNet(architecture=arch, weights=weights, biases=biases)
 
 
+def _pad8(a: np.ndarray) -> np.ndarray:
+    """``a`` in C order with its last axis zero-padded to a multiple of 8."""
+    k = a.shape[-1]
+    if k % 8:
+        padded = np.zeros((*a.shape[:-1], k + -k % 8))
+        padded[..., :k] = a
+        return padded
+    return np.ascontiguousarray(a)
+
+
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``x @ w.T + b`` as the one contiguous, 8-padded einsum described above."""
-    pad = -x.shape[1] % 8
-    if pad:
-        x = np.concatenate([x, np.zeros((x.shape[0], pad))], axis=1)
-        w = np.concatenate([w, np.zeros((w.shape[0], pad))], axis=1)
-    return np.einsum("bk,ok->bo", np.ascontiguousarray(x), np.ascontiguousarray(w)) + b
+    return np.einsum("bk,ok->bo", _pad8(x), _pad8(w)) + b
 
 
-def _check_batch(net: FeedForwardNet, x: np.ndarray) -> np.ndarray:
+def _check_batch(input_dim: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.architecture.input_dim:
-        raise ShapeError(
-            f"expected inputs of shape (m, {net.architecture.input_dim}), got {x.shape}"
-        )
+    if x.ndim != 2 or x.shape[1] != input_dim:
+        raise ShapeError(f"expected inputs of shape (m, {input_dim}), got {x.shape}")
     return x
 
 
@@ -167,13 +173,20 @@ def forward_batch(net: FeedForwardNet, x: np.ndarray, threads: int = 1) -> np.nd
     Rows are scored in ``_ROWS``-row blocks; with ``threads > 1`` the same
     blocks are mapped over a thread pool, so the output never depends on it.
     """
-    x = _check_batch(net, x)
-    blocks = [x[k : k + _ROWS] for k in range(0, x.shape[0], _ROWS)]
-    score = lambda xb: _forward_cached(net, xb)[-1][:, 0]
+    x = _check_batch(net.architecture.input_dim, x)
+    scores = np.empty(x.shape[0])
+
+    def score(k: int) -> None:
+        scores[k : k + _ROWS] = _forward_cached(net, x[k : k + _ROWS])[-1][:, 0]
+
+    starts = range(0, x.shape[0], _ROWS)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.concatenate([np.zeros(0), *pool.map(score, blocks)])
-    return np.concatenate([np.zeros(0), *map(score, blocks)])
+            list(pool.map(score, starts))
+    else:
+        for k in starts:
+            score(k)
+    return scores
 
 
 def forward(net: FeedForwardNet, x: np.ndarray) -> float:
@@ -182,6 +195,64 @@ def forward(net: FeedForwardNet, x: np.ndarray) -> float:
     if x.ndim != 1 or x.shape[0] != net.architecture.input_dim:
         raise ShapeError(f"expected input of shape ({net.architecture.input_dim},), got {x.shape}")
     return float(_forward_cached(net, x[None, :])[-1][0, 0])
+
+
+@dataclass(frozen=True)
+class NetStack:
+    """Nets of one input width, depth and activation, layer by layer: weights
+    ``(members, out, in)`` and biases ``(members, out)``, zero-padded to the
+    widest member and ``in`` further to a multiple of 8."""
+
+    input_dim: int
+    activation: str
+    weights: tuple[np.ndarray, ...] = field(repr=False)
+    biases: tuple[np.ndarray, ...] = field(repr=False)
+
+    @property
+    def row_floats(self) -> int:
+        """Floats per row of the widest temporary in :func:`forward_stacked`."""
+        members, _, input_floats = self.weights[0].shape
+        return max(input_floats, members * max((w.shape[2] for w in self.weights[1:]), default=1))
+
+
+def stack_nets(nets) -> list[tuple[NetStack, np.ndarray]]:
+    """``nets`` as :class:`NetStack` groups of one input width, depth and
+    activation, in order of first appearance, each with its nets' positions."""
+    groups: dict[tuple, list[int]] = {}
+    for j, net in enumerate(nets):
+        arch = net.architecture
+        groups.setdefault((arch.input_dim, len(net.weights), arch.activation), []).append(j)
+    stacks = []
+    for (input_dim, layers, activation), positions in groups.items():
+        members = [nets[j] for j in positions]
+        weights, biases = [], []
+        for i in range(layers):
+            out = max(net.weights[i].shape[0] for net in members)
+            fan_in = max(net.weights[i].shape[1] for net in members)
+            w, b = np.zeros((len(members), out, fan_in + -fan_in % 8)), np.zeros((len(members), out))
+            for j, net in enumerate(members):
+                o, k = net.weights[i].shape
+                w[j, :o, :k], b[j, :o] = net.weights[i], net.biases[i]
+            weights.append(w)
+            biases.append(b)
+        stacks.append((NetStack(input_dim, activation, tuple(weights), tuple(biases)), np.array(positions)))
+    return stacks
+
+
+def forward_stacked(stack: NetStack, x: np.ndarray) -> np.ndarray:
+    """Scores of every stacked net for every row of ``x``, shape ``(rows, members)``.
+
+    One einsum per layer scores all members.  Each member's contraction is
+    its own contiguous 8-padded run followed by whole groups of exact zeros
+    (its padded units stay at activation 0), so column ``j`` equals
+    ``forward_batch`` of net ``j`` bit for bit.  Temporaries grow with the
+    rows times :attr:`NetStack.row_floats`; the caller sizes the blocks.
+    """
+    activate = _ACTIVATIONS[stack.activation][0]
+    act, spec = _pad8(_check_batch(stack.input_dim, x)), "bk,jok->bjo"
+    for w, b in zip(stack.weights[:-1], stack.biases[:-1]):
+        act, spec = _pad8(activate(np.einsum(spec, act, w) + b)), "bjk,jok->bjo"
+    return (np.einsum(spec, act, stack.weights[-1]) + stack.biases[-1])[:, :, 0]
 
 
 Gradients = tuple[list[np.ndarray], list[np.ndarray]]  # (weight grads, bias grads) per layer
@@ -205,7 +276,7 @@ def _backprop_core(net: FeedForwardNet, acts, upstream: np.ndarray) -> Gradients
 
 def backprop_batch(net: FeedForwardNet, x: np.ndarray, upstream: np.ndarray) -> Gradients:
     """Gradients of ``sum_i upstream[i] * score(x_i)`` wrt every parameter."""
-    x = _check_batch(net, x)
+    x = _check_batch(net.architecture.input_dim, x)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (x.shape[0],):
         raise ShapeError(f"upstream must have shape ({x.shape[0]},), got {upstream.shape}")

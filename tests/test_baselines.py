@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfieboost import baselines
 from selfieboost.baselines import (
@@ -16,12 +19,15 @@ from selfieboost.baselines import (
 )
 from selfieboost.boost import BoostConfig, SgdParams, _initial_net
 from selfieboost.data import Dataset, gen_realizable
-from selfieboost.errors import ModelVersionError, NoWeakLearnerError
+from selfieboost.errors import ModelVersionError, NoWeakLearnerError, ShapeError
 from selfieboost.nnet import (
+    ACTIVATIONS,
     FeedForwardNet,
     NetworkArchitecture,
     forward_batch,
+    forward_stacked,
     init_network,
+    stack_nets,
 )
 from selfieboost.sampling import SplitMix64, derive_seed
 
@@ -117,6 +123,86 @@ class TestEnsemblePredict:
         report = cost(model)
         assert report.network_evals_per_prediction == 10
         assert report.total_params_evaluated == 10 * 3
+
+
+def oracle_predict(model, features):
+    """The per-member loop that stacked scoring replaced: one forward_batch
+    per member, votes added in member order."""
+    total = np.zeros(features.shape[0])
+    for member, alpha in zip(model.members, model.alphas):
+        total = total + alpha * np.where(forward_batch(member, features) > 0.0, 1.0, -1.0)
+    return np.where(total >= 0.0, 1.0, -1.0)
+
+
+def random_member(d, hidden, activation, seed):
+    arch = NetworkArchitecture(d, hidden, activation)
+    net = init_network(arch, seed, 1.0)
+    rng = SplitMix64(seed + 1)
+    return FeedForwardNet(arch, net.weights, [rng.normal_block(b.shape[0]) for b in net.biases])
+
+
+MEMBERS = st.lists(
+    st.tuples(
+        st.lists(st.one_of(st.integers(1, 5).map(lambda n: 8 * n), st.integers(1, 40)), max_size=2),
+        st.sampled_from(ACTIVATIONS),
+        st.sampled_from([0.1, 0.25, 0.5, 0.7, 1.0]),  # repeats make exact ties
+    ),
+    min_size=1, max_size=12,
+)
+# more rows than any ensemble's block holds: a block has at most 2**16 // 8 rows
+CROSSING = baselines._STACK_FLOATS // 8 + 5
+
+
+class TestStackedEnsemble:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 12), members=MEMBERS, rows=st.sampled_from([1, 7, CROSSING]),
+           seed=st.integers(0, 2**32))
+    def test_votes_equal_the_per_member_loop(self, d, members, rows, seed):
+        nets = [random_member(d, tuple(h), act, seed + j) for j, (h, act, _) in enumerate(members)]
+        model = EnsembleModel(members=tuple(nets), alphas=tuple(a for _, _, a in members))
+        x = SplitMix64(seed ^ 0xE75).normal_block(rows * d).reshape(rows, d)
+        for stack, positions in stack_nets(nets):
+            scores = forward_stacked(stack, x)
+            for i, j in enumerate(positions):
+                assert scores[:, i].tobytes() == forward_batch(nets[j], x).tobytes()
+        assert ensemble_predict_batch(model, x).tobytes() == oracle_predict(model, x).tobytes()
+
+    def test_votes_are_summed_one_by_one_in_member_order(self):
+        # 1e16 + 1 rounds back to 1e16, so a sequential sum loses every 1.0 and
+        # ends at -2, while numpy's pairwise sum of the 9 terms would end at +4
+        up, down = linear_net([1.0]), linear_net([-1.0])
+        arch = NetworkArchitecture(1, (3,), "relu")
+        deep_up = FeedForwardNet(arch, [np.zeros((3, 1)), np.zeros((1, 3))], [np.ones(3), np.ones(1)])
+        members = (up, up, up, deep_up, up, deep_up, up, down)
+        model = EnsembleModel(members=members, alphas=(1e16, *[1.0] * 6, 1e16 + 2))
+        x = np.ones((3, 1))
+        np.testing.assert_array_equal(ensemble_predict_batch(model, x), [-1.0] * 3)
+        np.testing.assert_array_equal(oracle_predict(model, x), [-1.0] * 3)
+
+    def test_wrong_width_and_empty_inputs(self):
+        model = EnsembleModel(members=(linear_net([1.0, 2.0]),), alphas=(1.0,))
+        with pytest.raises(ShapeError):
+            ensemble_predict_batch(model, np.zeros((0, 3)))
+        assert ensemble_predict_batch(model, np.zeros((0, 2))).shape == (0,)
+        with pytest.raises(ValueError, match="empty ensemble"):
+            ensemble_predict_batch(EnsembleModel(members=(), alphas=()), np.zeros((1, 2)))
+
+    def test_memory_is_the_output_plus_the_block_budget(self):
+        m, d = 4096, 10
+        nets = tuple(random_member(d, (32,), "tanh", j) for j in range(64))
+        model = EnsembleModel(members=nets, alphas=(1.0,) * 64)
+        stacked = sum(w.nbytes + b.nbytes for stack, _ in stack_nets(nets)
+                      for w, b in zip(stack.weights, stack.biases))
+        x = SplitMix64(3).normal_block(m * d).reshape(m, d)
+        tracemalloc.start()
+        try:
+            ensemble_predict_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # output, stacked weights, and a few temporaries of at most the budget each
+        bound = 8 * m + stacked + 4 * 8 * baselines._STACK_FLOATS
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB over {bound / 2**20:.2f} MiB"
 
 
 class TestPlainSgd:

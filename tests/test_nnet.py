@@ -21,11 +21,13 @@ from selfieboost.nnet import (
     backprop_batch,
     forward,
     forward_batch,
+    forward_stacked,
     grad_check,
     init_network,
     load_model,
     save_model,
     sgd_step,
+    stack_nets,
     widen,
 )
 from selfieboost.sampling import SplitMix64
@@ -231,6 +233,21 @@ class TestKernelContract:
     def test_extra_output_rows_change_nothing(self, rows, k, out, extra, seed):
         x, w, b = normals(seed, rows, k), normals(seed + 1, out + extra, k), normals(seed + 2, out + extra)
         assert_same_bits(_affine(x, w, b)[:, :out], _affine(x, w[:out].copy(), b[:out].copy()))
+
+
+class TestStackedForward:
+    def test_groups_share_input_width_depth_and_activation(self):
+        archs = [(4, (3,), "tanh"), (5, (3,), "tanh"), (4, (3, 3), "tanh"), (4, (3,), "relu"),
+                 (4, (12,), "tanh")]
+        nets = [init_network(NetworkArchitecture(*arch), seed, 1.0) for seed, arch in enumerate(archs)]
+        groups = stack_nets(nets)
+        assert [positions.tolist() for _, positions in groups] == [[0, 4], [1], [2], [3]]
+        stack = groups[0][0]
+        assert [w.shape for w in stack.weights] == [(2, 12, 8), (2, 1, 16)]
+        assert stack.row_floats == 2 * 16
+        assert stack_nets([init_network(NetworkArchitecture(130), 0, 1.0)])[0][0].row_floats == 136
+        with pytest.raises(ShapeError):
+            forward_stacked(stack, np.zeros((2, 5)))
 
 
 class TestBackprop:
