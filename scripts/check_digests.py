@@ -85,6 +85,19 @@ COMMANDS = (
     ("growbig16", "train --data data.csv --out-model growbig16.json --metrics growbig16.csv --T 1 "
                   "--sgd-steps 2 --max-retries 1 --sgd-growth 5e16 --seed 42"),
     ("verifyrho", "verify --metrics metrics.csv --m 2000 --rho -1"),
+    # the SGD loop's corner shapes: no hidden layer (argparse reads --hidden= as
+    # no widths) under all three algorithms, one-row batches, and batches
+    # larger than the working set through hidden widths across 8-column groups
+    ("lin", "train --data data.csv --out-model lin.json --metrics lin.csv --hidden= --T 5 "
+            "--sgd-steps 100 --seed 42"),
+    ("linsgd", "train --algo sgd --data data.csv --out-model linsgd.json --metrics linsgd.csv "
+               "--hidden= --sgd-steps 300 --seed 42"),
+    ("adalin", "train --algo adaboost --data data.csv --out-model adalin.json --metrics adalin.csv "
+               "--hidden= --T 4 --sgd-steps 50 --seed 42"),
+    ("batch1", "train --data data.csv --out-model batch1.json --metrics batch1.csv --hidden 3 --T 3 "
+               "--batch 1 --sgd-steps 200 --seed 42"),
+    ("bigbatch", "train --data data.csv --out-model bigbatch.json --metrics bigbatch.csv "
+                 "--hidden 9,17 --T 3 --n 16 --batch 64 --sgd-steps 50 --seed 42"),
 )
 
 EVALS = (
@@ -92,7 +105,9 @@ EVALS = (
     ("widen.json", "data.csv"), ("relu.json", "data.csv"), ("teacher8.json", "data8.csv"),
     ("ens8.json", "data8.csv"), ("numteacher.json", "numdata.csv"), ("num.json", "numdata.csv"),
     ("teacher130.json", "data130.csv"), ("wide130.json", "data130.csv"), ("teacher09.json", "data09.csv"),
-    ("ens2.json", "data.csv"), ("lrzero.json", "lrzerodata.csv"),
+    ("ens2.json", "data.csv"), ("lrzero.json", "lrzerodata.csv"), ("lin.json", "data.csv"),
+    ("linsgd.json", "data.csv"), ("adalin.json", "data.csv"), ("batch1.json", "data.csv"),
+    ("bigbatch.json", "data.csv"),
 )
 
 

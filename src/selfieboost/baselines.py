@@ -82,13 +82,13 @@ def _hinge_steps(
     rng: SplitMix64,
 ) -> None:
     """``steps`` SGD updates of ``net`` in place on the linear hinge: gradient
-    -y on examples with margin below 1, minibatches drawn uniformly by ``rng``."""
+    -y on examples with margin below 1, minibatches drawn uniformly by ``rng``.
+    The minibatch mean's share of -y, ``pull``, is worked out once per run."""
 
-    def upstream(pick, scores):
-        yb = data.labels[pick]
-        return np.where(yb * scores < 1.0, -yb, 0.0) / batch
+    def upstream(scores, y, pull):
+        return np.where(y * scores < 1.0, pull, 0.0)
 
-    _sgd_loop(net, data.features, steps, lr, batch, rng, upstream)
+    _sgd_loop(net, data.features, steps, lr, batch, rng, upstream, (data.labels, -data.labels / batch))
 
 
 def _hinge_sgd(

@@ -19,13 +19,15 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, EmptyDatasetError, NumericError, ShapeError
 from .nnet import (
+    _ACTIVATIONS,
     FeedForwardNet,
     NetworkArchitecture,
-    _backprop_core,
-    _forward_cached,
+    _backprop_core,  # noqa: F401 -- unused; perfbench's boundary table names boost._backprop_core
+    _forward_cached,  # noqa: F401 -- unused; perfbench's boundary table names boost._forward_cached
+    _pad8,
     forward_batch,
     init_network,
-    sgd_step,
+    sgd_step,  # noqa: F401 -- unused; perfbench's boundary table names boost.sgd_step
     widen,
 )
 from .sampling import (
@@ -192,31 +194,108 @@ def err(net: FeedForwardNet, data: Dataset) -> float:
 
 def surrogate_output_grad(labels: np.ndarray, snapshot: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     """Derivative wrt the candidate score ``g`` of the surrogate ``-y (g - f) + (g - f)^2 / 2``."""
-    return -np.asarray(labels) + (np.asarray(candidate) - np.asarray(snapshot))
+    return (np.asarray(candidate) - snapshot) - labels
 
 
-def _sgd_loop(net, feats, steps, lr, batch, rng, upstream) -> None:
+# Bytes of the rows that one chunk of SGD steps gathers at once: the picked
+# feature rows, unpadded and padded, and the loss's per-example entries.
+# Chunks of 16 to 32 reference steps (batch 32, 10 features) cost no peak
+# memory; chunks of 128 raised it by 3%.
+_CHUNK_BYTES = 2**17
+
+
+def _flat_params(dims: tuple[int, ...]):
+    """A zeroed flat vector for the parameters of a net of layer widths
+    ``dims``, and its views: the weights ``(out, in)``, each zero-padded to a
+    multiple of 8 columns, then the biases."""
+    shapes = [(o, k + -k % 8) for k, o in zip(dims, dims[1:])]
+    flat = np.zeros(sum(o * k + o for o, k in shapes))
+    weights, at = [], 0
+    for o, k in shapes:
+        weights.append(flat[at : at + o * k].reshape(o, k))
+        at += o * k
+    biases = np.split(flat[at:], np.cumsum(dims[1:-1]))
+    return flat, weights, biases
+
+
+def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> None:
     """``steps`` minibatch SGD updates of ``net`` in place, on rows of ``feats``:
     the one loop behind SelfieBoost's candidates and the baselines.
 
     All ``steps * batch`` picks come from ``rng`` in one block, the stream of
-    one draw of ``batch`` per step.  ``upstream(pick, scores)`` is the loss
-    gradient wrt the scores.  Non-finite scores or parameters raise
+    one draw of ``batch`` per step.  ``upstream(scores, *picked)`` is the loss
+    gradient wrt the scores, where ``picked`` holds the minibatch's entries of
+    each vector in ``per_example``.  Non-finite scores or parameters raise
     :class:`NumericError`.
+
+    The run updates ``theta``, a flat copy of the parameters laid out by
+    :func:`_flat_params`, and copies it back into the net's arrays when it
+    ends, also when it raises.  Each layer is the einsum of ``_affine`` or
+    ``_backprop_core`` on operands that are already padded: the picked rows
+    once per chunk of steps, the weights in ``theta``, and the hidden
+    activations in buffers whose pad columns stay zero.  Gradients fill the
+    real columns of ``grad``, laid out like ``theta``, so its pad columns
+    stay zero too.  The net ends bit for bit where ``sgd_step``,
+    ``_backprop_core`` and ``_forward_cached`` on one minibatch per step
+    would leave it.
     """
+    activate, derivative = _ACTIVATIONS[net.architecture.activation]
+    dims = net.architecture.dims
+    last = len(dims) - 2
+    theta, weights, biases = _flat_params(dims)
+    for w, b, w_pad, b_flat in zip(net.weights, net.biases, weights, biases):
+        w_pad[:, : w.shape[1]] = w
+        b_flat[:] = b
+    grad, grad_w, grad_b = _flat_params(dims)
+    grad_w = [g[:, :k] for g, k in zip(grad_w, dims)]  # the real columns
+    back_w = [w[:, :k] for w, k in zip(weights, dims)]
+    # einsum picks its loop by the operands' strides, and a one-column view of
+    # a padded array is strided along the axis that the net's own one-column
+    # arrays hold contiguous: so the activations of a hidden layer one unit
+    # wide, and the weights that read them, enter backprop as copies
+    narrow = [i > 0 and k == 1 for i, k in enumerate(dims[:-1])]
+    z = [np.empty((batch, o)) for o in dims[1:]]
+    hidden = [np.zeros((batch, h + -h % 8)) for h in dims[1:-1]]
+    acts = [buf[:, :h] for buf, h in zip(hidden, dims[1:-1])]
+    chunk = max(1, _CHUNK_BYTES // (8 * batch * (2 * dims[0] + -dims[0] % 8 + len(per_example))))
     picks = uniform_picks(rng, steps * batch, len(feats)).reshape(steps, batch)
-    # overflow surfaces as NumericError via the explicit checks below, so
-    # numpy's intermediate warnings carry no extra information here
-    with np.errstate(all="ignore"):
-        for k, pick in enumerate(picks):
-            acts = _forward_cached(net, feats[pick])
-            scores = acts[-1][:, 0]
-            if not np.isfinite(scores).all():
-                # hand back the unused draws: the stream stands where
-                # drawing one minibatch per step would have left it
-                rng.skip(-(steps - k - 1) * batch)
-                raise NumericError("scores became non-finite during SGD")
-            sgd_step(net, _backprop_core(net, acts, upstream(pick, scores)), lr)
+    try:
+        # overflow surfaces as NumericError via the explicit checks below, so
+        # numpy's intermediate warnings carry no extra information here
+        with np.errstate(all="ignore"):
+            for c in range(0, steps, chunk):
+                block = picks[c : c + chunk]
+                xs = feats[block]
+                padded = _pad8(xs)
+                picked = [v[block] for v in per_example]
+                for j in range(len(block)):
+                    x = padded[j]
+                    for i in range(last + 1):
+                        np.einsum("bk,ok->bo", x, weights[i], out=z[i])
+                        z[i] += biases[i]
+                        if i < last:
+                            activate(z[i], out=acts[i])
+                            x = hidden[i]
+                    scores = z[last][:, 0]
+                    if not np.isfinite(scores).all():
+                        # hand back the unused draws: the stream stands where
+                        # drawing one minibatch per step would have left it
+                        rng.skip(-(steps - c - j - 1) * batch)
+                        raise NumericError("scores became non-finite during SGD")
+                    delta = upstream(scores, *[v[j] for v in picked])[:, None]
+                    for i in range(last, -1, -1):
+                        x, w = (acts[i - 1], back_w[i]) if i else (xs[j], None)
+                        if narrow[i]:
+                            x, w = x.copy(), w.copy()
+                        np.einsum("mo,mh->oh", delta, x, out=grad_w[i])
+                        np.add.reduce(delta, axis=0, out=grad_b[i])
+                        if i:
+                            delta = np.einsum("mo,oh->mh", delta, w) * derivative(x)
+                    theta -= lr * grad
+    finally:
+        for w, b, w_pad, b_flat in zip(net.weights, net.biases, weights, biases):
+            w[...] = w_pad[:, : w.shape[1]]
+            b[...] = b_flat
     for p in net.weights + net.biases:
         if not np.isfinite(p).all():
             raise NumericError("parameters became non-finite during SGD")
@@ -254,7 +333,7 @@ def sgd_inner(
     scale = sgd_params.batch * len(working_set)
     _sgd_loop(
         candidate, data.features[working_set], sgd_params.steps, sgd_params.lr, sgd_params.batch, rng,
-        lambda pick, scores: surrogate_output_grad(labels[pick], snap[pick], scores) / scale,
+        lambda scores, y, f: surrogate_output_grad(y, f, scores) / scale, (labels, snap),
     )
     return candidate
 

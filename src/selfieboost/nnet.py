@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ from .sampling import SplitMix64
 # the relu subgradient at exactly 0 is fixed to 0
 _ACTIVATIONS = {
     "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: np.where(a > 0.0, 1.0, 0.0)),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda a: np.where(a > 0.0, 1.0, 0.0)),
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
 MODEL_FORMAT_VERSION = 1
@@ -181,6 +180,8 @@ def forward_batch(net: FeedForwardNet, x: np.ndarray, threads: int = 1) -> np.nd
 
     starts = range(0, x.shape[0], _ROWS)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: no other path needs threads
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(score, starts))
     else:
@@ -428,10 +429,11 @@ def save_model(net: FeedForwardNet, path) -> None:
 
 
 def write_json(obj, path) -> None:
-    """Write a model or ensemble file; floats keep full round-trip precision."""
+    """Write a model or ensemble file; floats keep full round-trip precision.
+    One ``json.dumps`` call, which runs the C encoder (``json.dump`` streams
+    through the pure-Python one), gives the same bytes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def read_json(path):

@@ -1,10 +1,14 @@
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfieboost import boost
+from selfieboost.baselines import _hinge_steps
 from selfieboost.boost import (
     BoostConfig,
     RetryPolicy,
@@ -12,6 +16,7 @@ from selfieboost.boost import (
     STOP_COMPLETED,
     STOP_NO_CANDIDATE,
     STOP_ZERO_ERROR,
+    _initial_net,
     _sgd_loop,
     cache_from_scores,
     edge,
@@ -23,8 +28,15 @@ from selfieboost.boost import (
 )
 from selfieboost.data import Dataset, gen_realizable
 from selfieboost.errors import ConfigError, NumericError
-from selfieboost.nnet import NetworkArchitecture, forward, forward_batch, init_network
-from selfieboost.sampling import SplitMix64
+from selfieboost.nnet import (
+    NetworkArchitecture,
+    backprop_batch,
+    forward,
+    forward_batch,
+    init_network,
+    sgd_step,
+)
+from selfieboost.sampling import SplitMix64, uniform_picks
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +97,39 @@ def brute_force_edge(margins_vec, raw, labels, cand):
         total += (w[i] / z) * (-d + 0.5 * d * d)
         max_diff = max(max_diff, d)
     return total, max_diff
+
+
+def reference_sgd(net, feats, steps, lr, batch, rng, loss):
+    """The SGD run that ``_sgd_loop`` must match bit for bit, done the plain
+    way: per step one draw of ``batch`` picks, one gather, ``forward_batch``,
+    ``backprop_batch`` and ``sgd_step``, with ``loss(pick, scores)``.
+    Returns the step whose scores were non-finite, where the run stops, or
+    None; non-finite parameters at the end raise ``NumericError``."""
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            pick = uniform_picks(rng, batch, len(feats))
+            scores = forward_batch(net, feats[pick])
+            if not np.isfinite(scores).all():
+                return k
+            sgd_step(net, backprop_batch(net, feats[pick], loss(pick, scores)), lr)
+    if not all(np.isfinite(p).all() for p in net.weights + net.biases):
+        raise NumericError("parameters became non-finite during SGD")
+    return None
+
+
+def surrogate_reference(data, working_set, snapshot, batch):
+    """``sgd_inner``'s rows and loss for :func:`reference_sgd`, the loss
+    written ``-y + (g - f)``, so that the loop's ``(g - f) - y`` is checked
+    to give the same bits."""
+    labels, snap = data.labels[working_set], snapshot[working_set]
+    scale = batch * len(working_set)
+    return data.features[working_set], lambda pick, g: (-labels[pick] + (g - snap[pick])) / scale
+
+
+def hinge_reference(data, batch):
+    """``_hinge_steps``'s rows and loss for :func:`reference_sgd`, dividing
+    by ``batch`` after the ``where`` rather than before it."""
+    return data.features, lambda pick, g: np.where(data.labels[pick] * g < 1.0, -data.labels[pick], 0.0) / batch
 
 
 class TestMarginCache:
@@ -202,9 +247,86 @@ class TestSgdInner:
         net = init_network(NetworkArchitecture(1, (2,)), 0, 1.0)
         feats = np.array([[1e-200], [-1e-200]])
         with pytest.raises(NumericError, match="parameters"):
-            _sgd_loop(net, feats, 2, 1.7e308, 1, SplitMix64(1), lambda pick, scores: -np.ones(len(pick)))
+            _sgd_loop(net, feats, 2, 1.7e308, 1, SplitMix64(1), lambda scores: -np.ones(len(scores)))
         assert all(np.isfinite(w).all() for w in net.weights)
         assert not np.isfinite(net.biases[-1]).all()
+
+
+WIDTHS = st.one_of(st.sampled_from([1, 8, 9, 16, 17, 32, 40]), st.integers(1, 40))
+
+
+class TestSgdLoop:
+    """``_sgd_loop`` against :func:`reference_sgd`: the same parameters, bit
+    for bit, the same outcome and the same stream position afterwards."""
+
+    @staticmethod
+    def run_both(net, data, working_set, snapshot, loss, steps, lr, batch, seed):
+        ours, theirs = net.copy(), net.copy()
+        rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+        try:
+            if loss == "surrogate":
+                sgd_inner(data, working_set, snapshot, ours, SgdParams(steps, lr, batch), rng)
+            else:
+                _hinge_steps(ours, data, steps, lr, batch, rng)
+        except NumericError as exc:
+            outcome = str(exc)
+        else:
+            outcome = None
+        if loss == "surrogate":
+            feats, ref_loss = surrogate_reference(data, working_set, snapshot, batch)
+        else:
+            feats, ref_loss = hinge_reference(data, batch)
+        failed_at = None
+        try:
+            failed_at = reference_sgd(theirs, feats, steps, lr, batch, ref_rng, ref_loss)
+        except NumericError as exc:
+            ref_outcome = str(exc)
+        else:
+            ref_outcome = None if failed_at is None else "scores became non-finite during SGD"
+        assert outcome == ref_outcome
+        for a, b in zip(ours.weights + ours.biases, theirs.weights + theirs.biases):
+            assert a.tobytes() == b.tobytes()
+        assert rng.next_u64() == ref_rng.next_u64()
+        return failed_at
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 20),
+        hidden=st.lists(WIDTHS, max_size=3),
+        activation=st.sampled_from(["tanh", "relu"]),
+        m=st.integers(1, 24),
+        batch=st.one_of(st.just(1), st.integers(1, 40)),
+        steps=st.integers(0, 45),
+        lr=st.sampled_from([0.05, 0.7, 1e3, 1e60, 1e150]),
+        init_scale=st.sampled_from([0.0, 1.0]),
+        loss=st.sampled_from(["surrogate", "hinge"]),
+        chunk_bytes=st.sampled_from([1, 3000, boost._CHUNK_BYTES]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_the_reference_loop_bit_for_bit(
+        self, d, hidden, activation, m, batch, steps, lr, init_scale, loss, chunk_bytes, seed
+    ):
+        # batch 1, batches larger than the working set, depth 0 to 3, one-unit
+        # and 8-multiple widths, an exactly zero output layer (init_scale 0),
+        # chunks of one step, of a few and of the default budget
+        rng = SplitMix64(seed)
+        data = Dataset(rng.normal_block(m * d).reshape(m, d) * 2.0, np.where(rng.uniform_block(m) < 0.5, -1.0, 1.0))
+        net = _initial_net(NetworkArchitecture(d, tuple(hidden), activation), seed, init_scale)
+        working_set = uniform_picks(rng, m + 3, m)
+        snapshot = forward_batch(net, data.features) + rng.normal_block(m) * 0.1
+        with mock.patch.object(boost, "_CHUNK_BYTES", chunk_bytes):
+            self.run_both(net, data, working_set, snapshot, loss, steps, lr, batch, seed + 1)
+
+    @pytest.mark.parametrize("loss, lr, seed, failing_step", [("surrogate", 1e5, 6, 9), ("hinge", 1e40, 4, 2)])
+    def test_blow_up_inside_a_chunk(self, loss, lr, seed, failing_step):
+        # chunks of 4 steps of 4 rows; the scores overflow at a step that is
+        # not the first of its chunk, with unused draws in and after the chunk
+        data, _ = gen_realizable(40, 5, NetworkArchitecture(5, (3,)), 0.1, 2)
+        net = init_network(NetworkArchitecture(5, (9, 8), "relu"), seed, 1.0)
+        snapshot = forward_batch(net, data.features)
+        with mock.patch.object(boost, "_CHUNK_BYTES", 4 * 4 * 8 * (5 + 8 + 2)):
+            failed_at = self.run_both(net, data, np.arange(40), snapshot, loss, 60, lr, 4, 7)
+        assert failed_at == failing_step
 
 
 class TestEdge:
@@ -410,28 +532,26 @@ class TestRunSelfieboost:
             T=4, n=64, hidden=(8,), sgd=SgdParams(50, 3e5, 16),
             retry=RetryPolicy(5, 1.5, 0, 1e-3), seed=1,
         )
-        forward_cached, inner = boost._forward_cached, boost.sgd_inner
-        calls, aborts = [0], []
-
-        def counting_forward(*args):
-            calls[0] += 1
-            return forward_cached(*args)
+        inner, aborts = boost.sgd_inner, []
 
         def checked_inner(data, working_set, snapshot, candidate, params, rng):
-            fresh, calls[0] = copy.copy(rng), 0
+            start, fresh = candidate.copy(), copy.copy(rng)
             try:
                 return inner(data, working_set, snapshot, candidate, params, rng)
             except NumericError:
-                fresh.uniform_block(calls[0] * params.batch)
+                # the reference loop replays the attempt and finds the failing step k
+                feats, loss = surrogate_reference(data, working_set, snapshot, params.batch)
+                k = reference_sgd(start, feats, params.steps, params.lr, params.batch, copy.copy(fresh), loss)
+                assert k is not None
+                fresh.uniform_block((k + 1) * params.batch)
                 assert copy.copy(rng).next_u64() == fresh.next_u64()
-                aborts.append((calls[0], params.steps))
+                aborts.append((k, params.steps))
                 raise
 
-        monkeypatch.setattr(boost, "_forward_cached", counting_forward)
         monkeypatch.setattr(boost, "sgd_inner", checked_inner)
         result = run_selfieboost(dataset, cfg)
         assert [r.retries_used for r in result.records] == [4, 2, 2, 2]
-        assert len(aborts) == 4 and all(c < steps for c, steps in aborts)
+        assert len(aborts) == 4 and all(k + 1 < steps for k, steps in aborts)
 
     def test_shallow_rejection_continues_on_its_working_set(self, small_data, small_config, monkeypatch):
         attempts = record_attempts(monkeypatch)
@@ -507,17 +627,17 @@ class TestRunSelfieboost:
         cfg = BoostConfig(
             T=5, n=64, hidden=(8,), sgd=SgdParams(lr=0.4), retry=RetryPolicy(lr_shrink=5e-324),
         )
-        step, lrs = boost.sgd_step, []
+        inner, attempts = boost.sgd_inner, []
 
-        def recording_step(net, grads, lr):
-            lrs.append(lr)
-            step(net, grads, lr)
+        def recording_inner(data, working_set, snapshot, candidate, params, rng):
+            attempts.append((params.steps, params.lr))
+            return inner(data, working_set, snapshot, candidate, params, rng)
 
-        monkeypatch.setattr(boost, "sgd_step", recording_step)
+        monkeypatch.setattr(boost, "sgd_inner", recording_inner)
         result = run_selfieboost(dataset, cfg)
         assert result.stop_reason == STOP_NO_CANDIDATE
         assert result.records == ()
-        assert lrs == [0.4] * 500  # one attempt: it violates the clip, and 0.4 * 5e-324 is 0
+        assert attempts == [(500, 0.4)]  # one attempt: it violates the clip, and 0.4 * 5e-324 is 0
 
     def test_acceptance_soundness_replay(self, small_data, small_config, small_run):
         """Manually replay one iteration and recheck adoption with the oracle."""

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,10 +28,12 @@ from selfieboost.nnet import (
     grad_check,
     init_network,
     load_model,
+    net_to_dict,
     save_model,
     sgd_step,
     stack_nets,
     widen,
+    write_json,
 )
 from selfieboost.sampling import SplitMix64
 
@@ -177,6 +182,14 @@ def assert_same_bits(a, b):
 
 # multiples of 8 need no padding copy, so only the contiguity step reorders them
 WIDTHS = st.one_of(st.integers(1, 26).map(lambda n: 8 * n), st.integers(1, 210))
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # only forward_batch(threads > 1) needs concurrent.futures
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, selfieboost.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 class TestKernelContract:
@@ -401,6 +414,20 @@ class TestWiden:
 
 
 class TestModelIO:
+    def test_write_json_bytes_equal_json_dump(self, tmp_path):
+        net = init_network(NetworkArchitecture(4, (3,)), 2, 1.0)
+        # a subnormal, a negative zero, a large and an integer-valued float
+        net.weights[0][0, :] = [5e-324, -0.0, 1e308, 3.0]
+        net.biases[-1][0] = -2.0
+        obj = {"format_version": 1, "alphas": [1.0, 0.25], "members": [net_to_dict(net)] * 2}
+        path = tmp_path / "model.json"
+        write_json(obj, path)
+        with open(tmp_path / "dumped.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(obj, fh)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+        assert b"5e-324, -0.0, 1e+308, 3.0" in path.read_bytes()
+
     def test_round_trip_bit_exact(self, tmp_path):
         net = init_network(NetworkArchitecture(6, (5, 4), "relu"), 11, 1.0)
         path = tmp_path / "model.json"
