@@ -14,15 +14,29 @@ interpreter imports, e.g. ``PYTHONPATH=src``; relative ``PYTHONPATH`` entries
 are resolved against the directory the script starts in, not the work
 directory the commands run in.
 
-Usage: python scripts/check_digests.py [workdir]   (an empty or new directory)
+The first line names the environment: Python, numpy and the platform, since
+bit equality across numpy builds or machines is not claimed.
+``scripts/digests.txt`` holds the output for the committed code; a change that
+alters outputs updates it, so ``git diff`` shows which entries moved.  With
+``--expect FILE`` the script prints only the lines that differ from FILE
+(``-`` expected, ``+`` got) and exits 0 if none does, 1 if some do, and 3
+without running anything if the environment differs from FILE's first line.
+
+Usage: python scripts/check_digests.py [--expect FILE] [workdir]   (an empty or new directory)
 """
 
+import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+EXIT_DIFFERS, EXIT_ENVIRONMENT = 1, 3
 
 README_TRAIN = "--hidden 32 --rho 0.1 --T 50 --n 256 --sgd-steps 500 --lr 0.05 --batch 32 --seed 42"
 
@@ -169,8 +183,21 @@ def run(workdir: Path, name: str, argv: list[str]) -> None:
     )
 
 
+def environment() -> str:
+    return (f"# python {platform.python_version()} numpy {np.__version__} "
+            f"platform {platform.system()}-{platform.machine()}")
+
+
 def main() -> int:
-    workdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out_digests")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workdir", nargs="?", type=Path, default=Path("out_digests"))
+    parser.add_argument("--expect", type=Path, help="digest file to compare with, e.g. scripts/digests.txt")
+    args = parser.parse_args()
+    expected = args.expect.read_text().splitlines() if args.expect else None
+    if expected is not None and expected[:1] != [environment()]:
+        print(f"environment differs: expected {expected[:1]}, got {environment()!r}", file=sys.stderr)
+        return EXIT_ENVIRONMENT
+    workdir = args.workdir
     workdir.mkdir(parents=True, exist_ok=True)
     if any(workdir.iterdir()):
         print(f"error: {workdir} is not empty", file=sys.stderr)
@@ -185,9 +212,16 @@ def main() -> int:
     write_late_inputs(workdir)
     for name, command in LATE_COMMANDS:
         run(workdir, name, command.split())
-    for path in sorted(workdir.iterdir()):
-        print(f"sha256 {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
-    return 0
+    lines = [environment()] + [
+        f"sha256 {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}" for path in sorted(workdir.iterdir())
+    ]
+    if expected is None:
+        print("\n".join(lines))
+        return 0
+    diff = [f"- {line}" for line in expected if line not in lines]
+    diff += [f"+ {line}" for line in lines if line not in expected]
+    print("\n".join(diff) if diff else f"all {len(lines) - 1} digests as in {args.expect}")
+    return EXIT_DIFFERS if diff else 0
 
 
 if __name__ == "__main__":

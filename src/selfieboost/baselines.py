@@ -41,12 +41,19 @@ _STACK_FLOATS = 2**16
 
 @dataclass(frozen=True)
 class EnsembleModel:
+    """A weighted vote of nets.  ``groups`` stacks the members once (:func:`stack_nets`);
+    their arrays are made read-only, so a write raises instead of leaving it stale."""
+
     members: tuple[FeedForwardNet, ...]
     alphas: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.members) != len(self.alphas):
             raise ValueError("members and alphas must have equal length")
+        for net in self.members:
+            for p in net.weights + net.biases:
+                p.flags.writeable = False
+        object.__setattr__(self, "groups", stack_nets(self.members))
 
 
 @dataclass(frozen=True)
@@ -167,29 +174,29 @@ def _vote_sum_sign(total: np.ndarray) -> np.ndarray:
 def ensemble_predict_batch(model: EnsembleModel, features: np.ndarray) -> np.ndarray:
     """Weighted-majority vote for each row of ``features``; ties go to +1.
 
-    Each group of :func:`stack_nets` scores a row block with one
-    :func:`forward_stacked` call, which gives every member its
-    ``forward_batch`` bits.  A row's ``alpha * vote`` terms, after a leading
-    0, are summed one by one in member order (``add.accumulate`` is
-    sequential, unlike ``sum``), so each total has the bits of a per-member
-    loop.  Blocks are sized so that no stacked temporary and no block of
-    terms exceeds ``_STACK_FLOATS`` floats unless a single row does.
+    Each of the model's ``groups`` scores a row block with one
+    :func:`forward_stacked` call over a workspace kept for the call, which
+    gives every member its ``forward_batch`` bits.  A row's ``alpha * vote``
+    terms, after a leading 0, are summed one by one in member order
+    (``add.accumulate`` is sequential, unlike ``sum``), so each total has the
+    bits of a per-member loop.  Blocks are sized so that no workspace buffer
+    and no block of terms exceeds ``_STACK_FLOATS`` floats unless one row does.
     """
     if not model.members:
         raise ValueError("empty ensemble")
-    groups = stack_nets(model.members)
-    features = np.asarray(features, dtype=np.float64)
-    for stack, _ in groups:
-        _check_batch(stack.input_dim, features)  # also when there are no rows
-    alphas, width = np.array(model.alphas), len(model.members) + 1
-    rows = max(1, _STACK_FLOATS // max(width, *(stack.row_floats for stack, _ in groups)))
-    preds = np.empty(features.shape[0])
-    for k in range(0, features.shape[0], rows):
+    for stack, _ in model.groups:
+        features = _check_batch(stack.input_dim, features)  # also when there are no rows
+    alphas, width, m = np.array(model.alphas), len(model.members) + 1, features.shape[0]
+    rows = max(1, _STACK_FLOATS // max(width, *(stack.row_floats for stack, _ in model.groups)))
+    work = [stack.workspace(min(rows, m)) for stack, _ in model.groups]
+    terms, totals = np.zeros((min(rows, m), width)), np.empty((min(rows, m), width))
+    preds = np.empty(m)
+    for k in range(0, m, rows):
         block = features[k : k + rows]
-        terms = np.zeros((block.shape[0], width))
-        for stack, positions in groups:
-            terms[:, positions + 1] = alphas[positions] * _vote(forward_stacked(stack, block))
-        preds[k : k + rows] = _vote_sum_sign(np.add.accumulate(terms, axis=1)[:, -1])
+        n = block.shape[0]
+        for (stack, positions), buffers in zip(model.groups, work):
+            terms[:n, positions + 1] = alphas[positions] * _vote(forward_stacked(stack, block, buffers))
+        preds[k : k + n] = _vote_sum_sign(np.add.accumulate(terms[:n], axis=1, out=totals[:n])[:, -1])
     return preds
 
 

@@ -8,10 +8,10 @@ three invariances hold bit for bit (``tests/test_nnet.py`` checks each): a row
 scores the same alone as in any batch, at any offset, stride or memory order,
 so :func:`forward_batch` equals looped :func:`forward` at any thread count;
 zero-weight inputs appended by :func:`widen` change no output; appended output
-units leave the others as they were.  By the last two, :func:`forward_stacked`
-scores a group of nets with one einsum per layer and gives each net the bits
-of :func:`forward_batch`.  Bit equality across CPU architectures or numpy
-builds is not claimed.
+units leave the others as they were.  By the last two, :func:`forward_stacked`,
+the one scoring kernel (:func:`forward_batch` runs it on a stack of one),
+scores nets with one einsum per layer and gives each the bits it has alone.
+Bit equality across CPU architectures or numpy builds is not claimed.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ MODEL_FORMAT_VERSION = 1
 # and then a tail; with ``k`` padded to a multiple of 8 there is no tail, so
 # appended zero columns only add groups of exact zeros.  Strided or
 # Fortran-ordered operands take another loop, hence the copy to C order.
-# Sweeps score ``_ROWS``-row blocks, threaded or not: one block's temporaries
-# per thread.
+# Sweeps score ``_ROWS``-row blocks over one workspace per thread.
 _ROWS = 1024
 
 
@@ -169,33 +168,37 @@ def _forward_cached(net: FeedForwardNet, x: np.ndarray) -> list[np.ndarray]:
 def forward_batch(net: FeedForwardNet, x: np.ndarray, threads: int = 1) -> np.ndarray:
     """Scores for every row of ``x``; row ``i`` equals ``forward(net, x[i])`` exactly.
 
-    Rows are scored in ``_ROWS``-row blocks; with ``threads > 1`` the same
-    blocks are mapped over a thread pool, so the output never depends on it.
+    :func:`forward_stacked` scores the net as a one-member stack in
+    ``_ROWS``-row blocks; thread ``t`` of ``threads`` scores blocks ``t, t +
+    threads, ...`` over a workspace of its own, so no output depends on it.
     """
     x = _check_batch(net.architecture.input_dim, x)
+    [(stack, _)] = stack_nets([net])
     scores = np.empty(x.shape[0])
-
-    def score(k: int) -> None:
-        scores[k : k + _ROWS] = _forward_cached(net, x[k : k + _ROWS])[-1][:, 0]
-
     starts = range(0, x.shape[0], _ROWS)
-    if threads > 1:
+    workers = max(1, min(threads, len(starts)))
+
+    def score(t: int) -> None:
+        work = stack.workspace(min(_ROWS, x.shape[0]))
+        for k in starts[t::workers]:
+            scores[k : k + _ROWS] = forward_stacked(stack, x[k : k + _ROWS], work)[:, 0]
+
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported here: no other path needs threads
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(score, starts))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(score, range(workers)))
     else:
-        for k in starts:
-            score(k)
+        score(0)
     return scores
 
 
 def forward(net: FeedForwardNet, x: np.ndarray) -> float:
-    """Scalar score for one input vector.  Pure and deterministic."""
+    """Scalar score for one input vector: a one-row :func:`forward_batch`."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != net.architecture.input_dim:
         raise ShapeError(f"expected input of shape ({net.architecture.input_dim},), got {x.shape}")
-    return float(_forward_cached(net, x[None, :])[-1][0, 0])
+    return float(forward_batch(net, x[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -211,9 +214,19 @@ class NetStack:
 
     @property
     def row_floats(self) -> int:
-        """Floats per row of the widest temporary in :func:`forward_stacked`."""
+        """Floats per row of the widest buffer of a :meth:`workspace`."""
         members, _, input_floats = self.weights[0].shape
         return max(input_floats, members * max((w.shape[2] for w in self.weights[1:]), default=1))
+
+    def workspace(self, rows: int) -> tuple:
+        """Buffers for :func:`forward_stacked` on up to ``rows`` rows: the
+        zero-padded input, each layer's pre-activations, and each hidden
+        layer's activations, zero-padded like the next layer's weights (with
+        no pad columns, the pre-activations' own buffer, activated in place)."""
+        hidden = [np.zeros((rows, w.shape[0], w.shape[2])) for w in self.weights[1:]]
+        z = [a if a is not None and a.shape[2] == w.shape[1] else np.empty((rows, *w.shape[:2]))
+             for a, w in zip([*hidden, None], self.weights)]
+        return np.zeros((rows, self.weights[0].shape[2])), z, hidden
 
 
 def stack_nets(nets) -> list[tuple[NetStack, np.ndarray]]:
@@ -240,20 +253,30 @@ def stack_nets(nets) -> list[tuple[NetStack, np.ndarray]]:
     return stacks
 
 
-def forward_stacked(stack: NetStack, x: np.ndarray) -> np.ndarray:
+def forward_stacked(stack: NetStack, x: np.ndarray, work=None) -> np.ndarray:
     """Scores of every stacked net for every row of ``x``, shape ``(rows, members)``.
 
-    One einsum per layer scores all members.  Each member's contraction is
-    its own contiguous 8-padded run followed by whole groups of exact zeros
-    (its padded units stay at activation 0), so column ``j`` equals
-    ``forward_batch`` of net ``j`` bit for bit.  Temporaries grow with the
-    rows times :attr:`NetStack.row_floats`; the caller sizes the blocks.
+    The one scoring kernel.  ``x`` is copied into the padded input of
+    ``work``, a :meth:`NetStack.workspace` of at least ``len(x)`` rows (new if
+    None); each layer is one einsum into its pre-activation buffer, the bias
+    added in place, and the activation written into the real columns of a
+    padded buffer whose pad columns stay zero.  Each member's contraction is
+    its own contiguous 8-padded run followed by whole groups of exact zeros,
+    so column ``j`` has the bits of net ``j`` alone.  Returns a view into ``work``.
     """
+    x, rows = _check_batch(stack.input_dim, x), len(x)
+    inputs, z, hidden = stack.workspace(rows) if work is None else work
+    inputs[:rows, : stack.input_dim] = x
     activate = _ACTIVATIONS[stack.activation][0]
-    act, spec = _pad8(_check_batch(stack.input_dim, x)), "bk,jok->bjo"
-    for w, b in zip(stack.weights[:-1], stack.biases[:-1]):
-        act, spec = _pad8(activate(np.einsum(spec, act, w) + b)), "bjk,jok->bjo"
-    return (np.einsum(spec, act, stack.weights[-1]) + stack.biases[-1])[:, :, 0]
+    act, spec = inputs[:rows], "bk,jok->bjo"
+    for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
+        out = z[i][:rows]
+        np.einsum(spec, act, w, out=out)
+        out += b
+        if i < len(hidden):
+            activate(out, out=hidden[i][:rows, :, : w.shape[1]])
+            act, spec = hidden[i][:rows], "bjk,jok->bjo"
+    return out[:, :, 0]
 
 
 Gradients = tuple[list[np.ndarray], list[np.ndarray]]  # (weight grads, bias grads) per layer

@@ -187,6 +187,28 @@ class TestStackedEnsemble:
         with pytest.raises(ValueError, match="empty ensemble"):
             ensemble_predict_batch(EnsembleModel(members=(), alphas=()), np.zeros((1, 2)))
 
+    def test_stacks_are_built_once_and_members_are_read_only(self, monkeypatch):
+        calls = []
+
+        def counting_stack_nets(nets):
+            calls.append(len(nets))
+            return stack_nets(nets)
+
+        monkeypatch.setattr(baselines, "stack_nets", counting_stack_nets)
+        nets = tuple(random_member(3, (5,), "tanh", j) for j in range(4))
+        model = EnsembleModel(members=nets, alphas=(1.0, 0.5, 0.25, 0.7))
+        x = SplitMix64(8).normal_block(40 * 3).reshape(40, 3)
+        first = ensemble_predict_batch(model, x)
+        assert ensemble_predict_batch(model, x).tobytes() == first.tobytes()
+        assert ensemble_err(model, Dataset(x, first)) == 0.0
+        assert calls == [4]
+        with pytest.raises(ValueError):
+            nets[0].weights[0][0, 0] += 1.0
+        with pytest.raises(ValueError):
+            nets[3].biases[1][...] = 0.0
+        assert ensemble_predict_batch(model, x).tobytes() == oracle_predict(model, x).tobytes()
+        assert calls == [4]
+
     def test_memory_is_the_output_plus_the_block_budget(self):
         m, d = 4096, 10
         nets = tuple(random_member(d, (32,), "tanh", j) for j in range(64))

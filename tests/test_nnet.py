@@ -170,6 +170,29 @@ class TestForwardBatch:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"forward_batch peaked at {peak / 2**20:.1f} MiB"
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_is_the_output_plus_one_workspace_per_thread(self, threads):
+        m, hidden = 4096, (32, 9)
+        net = init_network(NetworkArchitecture(10, hidden), 3, 1.0)
+        x = normals(6, m, 10)
+        dims = net.architecture.dims
+        pad = lambda k: k + -k % 8
+        weights = sum(o * pad(k) + o for k, o in zip(dims, dims[1:]))
+        # padded input, each layer's pre-activations, each hidden layer padded
+        workspace = _ROWS * (pad(dims[0]) + sum(dims[1:]) + sum(pad(h) for h in hidden))
+        forward_batch(net, x, threads)  # the thread pool's first import is not the sweep's
+        tracemalloc.start()
+        try:
+            forward_batch(net, x, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # per thread, also numpy's buffer for the activation written into the
+        # strided real columns of a padded buffer; 32 KiB for the interpreter's
+        # own objects: frames, the pool, its futures
+        bound = 8 * (m + weights + threads * (workspace + np.getbufsize())) + 2**15
+        assert peak <= bound, f"peak {peak / 2**10:.0f} KiB over {bound / 2**10:.0f} KiB"
+
 
 def normals(seed, *shape):
     return SplitMix64(seed).normal_block(math.prod(shape)).reshape(shape)
@@ -248,7 +271,57 @@ class TestKernelContract:
         assert_same_bits(_affine(x, w, b)[:, :out], _affine(x, w[:out].copy(), b[:out].copy()))
 
 
+def oracle_scores(net, x):
+    """The scoring arithmetic before per-call workspaces, from plain numpy: per
+    layer the input and weights in C order, zero-padded to a multiple of 8
+    columns, one ``"bk,ok->bo"`` einsum plus the bias, then the activation."""
+
+    def padded(a):
+        a = np.ascontiguousarray(a)
+        out = np.zeros((a.shape[0], a.shape[1] + -a.shape[1] % 8))
+        out[:, : a.shape[1]] = a
+        return out
+
+    act = np.asarray(x, dtype=np.float64)
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        act = np.einsum("bk,ok->bo", padded(act), padded(w)) + b
+        if i < len(net.weights) - 1:
+            act = np.tanh(act) if net.architecture.activation == "tanh" else np.maximum(act, 0.0)
+    return act[:, 0]
+
+
 class TestStackedForward:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 20),
+        depth=st.integers(0, 2),
+        widths=st.lists(st.lists(st.sampled_from([1, 8, 9, 17]), min_size=2, max_size=2), min_size=1, max_size=3),
+        activation=st.sampled_from(["tanh", "relu"]),
+        rows=st.sampled_from([0, 1, 5, _ROWS + 3]),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        threads=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_every_path_equals_the_plain_numpy_oracle(self, d, depth, widths, activation, rows, layout, threads, seed):
+        # the nets of a stack share their depth; widths differ from net to net
+        nets = []
+        for j, hidden in enumerate(widths):
+            arch = NetworkArchitecture(d, tuple(hidden[:depth]), activation)
+            net = init_network(arch, seed + j, 1.0)
+            biases = [normals(seed + 7 * j + i, *b.shape) for i, b in enumerate(net.biases)]
+            nets.append(FeedForwardNet(arch, net.weights, biases))
+        x = normals(seed ^ 0x5EED, rows, 2 * d)
+        x = {"C": np.ascontiguousarray(x[:, :d]), "F": np.asfortranarray(x[:, :d]), "strided": x[:, ::2]}[layout]
+        (stack, positions), = stack_nets(nets)
+        stacked = forward_stacked(stack, x)
+        assert stacked.shape == (rows, len(nets))
+        for i, net in enumerate(nets):
+            expected = oracle_scores(net, x)
+            assert_same_bits(stacked[:, positions[i]], expected)
+            assert_same_bits(forward_batch(net, x, threads), expected)
+            for r in sorted({0, rows // 2, rows - 1}) if rows else ():
+                assert_same_bits(np.array([forward(net, x[r])]), expected[r : r + 1])
+
     def test_groups_share_input_width_depth_and_activation(self):
         archs = [(4, (3,), "tanh"), (5, (3,), "tanh"), (4, (3, 3), "tanh"), (4, (3,), "relu"),
                  (4, (12,), "tanh")]
