@@ -237,7 +237,20 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> No
     real columns of ``grad``, laid out like ``theta``, so its pad columns
     stay zero too.  The net ends bit for bit where ``sgd_step``,
     ``_backprop_core`` and ``_forward_cached`` on one minibatch per step
-    would leave it.
+    would leave it.  Three departures keep those bits:
+
+    - A layer with more outputs than inputs sums its weight gradient as
+      ``"mo,mh->ho"`` into an ``(in, out)`` buffer, copied transposed, so
+      einsum's inner loop runs along the wider axis.  The minibatch index
+      stays the outer loop: each element is still summed row by row.
+    - The one-unit output layer sends ``delta`` back as ``delta * w``, where
+      einsum's one-term sum turns a -0 into +0.  That sign could reach
+      ``theta`` only as ``t - lr * (±0)`` at ``t = -0``, and no ``t`` is -0:
+      init and widening make none, and ``t - lr * g`` makes one only from -0.
+    - Each step's scores go to row ``j`` of ``scores``, checked once per
+      chunk.  On a non-finite row ``theta`` is restored from the chunk's
+      start and the chunk rerun up to that step.  The scores are checked,
+      not ``theta``: the hinge's gradient is 0 at +inf with label +1.
     """
     activate, derivative = _ACTIVATIONS[net.architecture.activation]
     dims = net.architecture.dims
@@ -249,15 +262,17 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> No
     grad, grad_w, grad_b = _flat_params(dims)
     grad_w = [g[:, :k] for g, k in zip(grad_w, dims)]  # the real columns
     back_w = [w[:, :k] for w, k in zip(weights, dims)]
+    wide = [np.empty((k, o)) if o > k else None for k, o in zip(dims, dims[1:])]
     # einsum picks its loop by the operands' strides, and a one-column view of
     # a padded array is strided along the axis that the net's own one-column
     # arrays hold contiguous: so the activations of a hidden layer one unit
     # wide, and the weights that read them, enter backprop as copies
     narrow = [i > 0 and k == 1 for i, k in enumerate(dims[:-1])]
-    z = [np.empty((batch, o)) for o in dims[1:]]
+    z = [np.empty((batch, o)) for o in dims[1:-1]]
     hidden = [np.zeros((batch, h + -h % 8)) for h in dims[1:-1]]
     acts = [buf[:, :h] for buf, h in zip(hidden, dims[1:-1])]
     chunk = max(1, _CHUNK_BYTES // (8 * batch * (2 * dims[0] + -dims[0] % 8 + len(per_example))))
+    scores = np.empty((min(chunk, steps), batch, 1))
     picks = uniform_picks(rng, steps * batch, len(feats)).reshape(steps, batch)
     try:
         # overflow surfaces as NumericError via the explicit checks below, so
@@ -268,30 +283,39 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> No
                 xs = feats[block]
                 padded = _pad8(xs)
                 picked = [v[block] for v in per_example]
-                for j in range(len(block)):
-                    x = padded[j]
-                    for i in range(last + 1):
-                        np.einsum("bk,ok->bo", x, weights[i], out=z[i])
-                        z[i] += biases[i]
-                        if i < last:
-                            activate(z[i], out=acts[i])
-                            x = hidden[i]
-                    scores = z[last][:, 0]
-                    if not np.isfinite(scores).all():
+                start, todo = theta.copy(), len(block)
+                while True:
+                    for j in range(todo):
+                        x = padded[j]
+                        for i in range(last + 1):
+                            out = scores[j] if i == last else z[i]
+                            np.einsum("bk,ok->bo", x, weights[i], out=out)
+                            out += biases[i]
+                            if i < last:
+                                activate(out, out=acts[i])
+                                x = hidden[i]
+                        delta = upstream(scores[j, :, 0], *[v[j] for v in picked])[:, None]
+                        for i in range(last, -1, -1):
+                            x, w = (acts[i - 1], back_w[i]) if i else (xs[j], None)
+                            if narrow[i]:
+                                x, w = x.copy(), w.copy()
+                            if wide[i] is None:
+                                np.einsum("mo,mh->oh", delta, x, out=grad_w[i])
+                            else:
+                                grad_w[i][...] = np.einsum("mo,mh->ho", delta, x, out=wide[i]).T
+                            np.add.reduce(delta, axis=0, out=grad_b[i])
+                            if i:
+                                back = np.einsum("mo,oh->mh", delta, w) if i < last else delta * w
+                                delta = back * derivative(x)
+                        theta -= lr * grad
+                    if todo < len(block):  # the rerun, stopped before the failing step
                         # hand back the unused draws: the stream stands where
                         # drawing one minibatch per step would have left it
-                        rng.skip(-(steps - c - j - 1) * batch)
+                        rng.skip(-(steps - c - todo - 1) * batch)
                         raise NumericError("scores became non-finite during SGD")
-                    delta = upstream(scores, *[v[j] for v in picked])[:, None]
-                    for i in range(last, -1, -1):
-                        x, w = (acts[i - 1], back_w[i]) if i else (xs[j], None)
-                        if narrow[i]:
-                            x, w = x.copy(), w.copy()
-                        np.einsum("mo,mh->oh", delta, x, out=grad_w[i])
-                        np.add.reduce(delta, axis=0, out=grad_b[i])
-                        if i:
-                            delta = np.einsum("mo,oh->mh", delta, w) * derivative(x)
-                    theta -= lr * grad
+                    if np.isfinite(scores[:todo]).all():
+                        break
+                    todo, theta[...] = int(np.argmin(np.isfinite(scores[:todo]).all(axis=(1, 2)))), start
     finally:
         for w, b, w_pad, b_flat in zip(net.weights, net.biases, weights, biases):
             w[...] = w_pad[:, : w.shape[1]]

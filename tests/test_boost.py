@@ -328,6 +328,52 @@ class TestSgdLoop:
             failed_at = self.run_both(net, data, np.arange(40), snapshot, loss, 60, lr, 4, 7)
         assert failed_at == failing_step
 
+    BLOW_UP_CHUNK_BYTES = 4 * 4 * 8 * (2 * 2 + 6 + 2)  # chunks of 4 steps of 4 two-feature rows
+
+    @staticmethod
+    def blow_up_data():
+        """40 rows of 2 features; row 0, labelled +1, is ``(1e308, 1e308)``.
+        On a relu net whose weights are all near 0.5 its hidden units stay
+        finite and its score overflows to +inf."""
+        rng = SplitMix64(3)
+        feats = rng.normal_block(80).reshape(40, 2)
+        feats[0] = 1e308
+        labels = np.where(rng.uniform_block(40) < 0.5, -1.0, 1.0)
+        labels[0] = 1.0
+        net = init_network(NetworkArchitecture(2, (8,), "relu"), 1, 1.0)
+        for w in net.weights:
+            w[...] = 0.5 + 0.01 * w
+        return Dataset(feats, labels), net
+
+    @pytest.mark.parametrize("seed, failing_step", [(4, 5), (0, 8)])
+    def test_hinge_blow_up_that_leaves_the_parameters_finite(self, seed, failing_step):
+        # chunks of 4 steps of 4 rows; row 0 is first picked in the middle of
+        # a chunk (step 5) or at its first step (step 8).  Its hinge gradient
+        # is 0 at +inf, so without the check on the scores every parameter
+        # would stay finite to the end of the run.
+        data, net = self.blow_up_data()
+        unchecked = net.copy()
+        feats, loss = hinge_reference(data, 4)
+        rng = SplitMix64(seed)
+        with np.errstate(all="ignore"):
+            for k in range(20):
+                pick = uniform_picks(rng, 4, 40)
+                scores = forward_batch(unchecked, feats[pick])
+                assert np.isfinite(scores).all() == (k < failing_step or 0 not in pick)
+                sgd_step(unchecked, backprop_batch(unchecked, feats[pick], loss(pick, scores)), 0.01)
+        assert all(np.isfinite(p).all() for p in unchecked.weights + unchecked.biases)
+        with mock.patch.object(boost, "_CHUNK_BYTES", self.BLOW_UP_CHUNK_BYTES):
+            failed_at = self.run_both(net, data, None, None, "hinge", 20, 0.01, 4, seed)
+        assert failed_at == failing_step
+
+    def test_surrogate_blow_up_in_the_last_short_chunk(self):
+        # 18 steps in chunks of 4: row 0 is first picked at step 17, the
+        # second of the last chunk's two steps
+        data, net = self.blow_up_data()
+        with mock.patch.object(boost, "_CHUNK_BYTES", self.BLOW_UP_CHUNK_BYTES):
+            failed_at = self.run_both(net, data, np.arange(40), np.zeros(40), "surrogate", 18, 0.01, 4, 124)
+        assert failed_at == 17
+
 
 class TestEdge:
     def test_identity_candidate_is_rejected(self):

@@ -1,5 +1,6 @@
 """A tier-1 subset of ``scripts/check_digests.py``: the README run's
-``gen-data``, ``train`` and ``eval`` must write the bytes that
+``gen-data``, ``train`` and ``eval``, and the hinge SGD runs of the
+``ensemble`` workload and of ``--algo sgd``, must write the bytes that
 ``scripts/digests.txt`` records for them.  The full script stays a step of
 every change; this catches a changed output bit without it."""
 
@@ -15,16 +16,33 @@ check_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_digests)
 
 
-def test_the_readme_run_writes_the_committed_bytes(tmp_path, monkeypatch):
+def assert_committed_bytes(workdir, monkeypatch, names, evals, files):
+    """Run the ``check_digests`` commands ``names`` and the evals of the
+    ``(model, data)`` pairs in ``evals`` in ``workdir``; its ``files`` files
+    must equal their lines in ``scripts/digests.txt``."""
     header, *lines = (ROOT / "scripts" / "digests.txt").read_text().splitlines()
     if header != check_digests.environment():
         pytest.skip(f"the digests were recorded under {header!r}")
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     commands = dict(check_digests.COMMANDS)
-    for name in ("gen", "train"):
-        check_digests.run(tmp_path, name, commands[name].split())
-    check_digests.run(tmp_path, "eval-model", ["eval", "--model", "model.json", "--data", "data.csv"])
+    for name in names:
+        check_digests.run(workdir, name, commands[name].split())
+    for model, data in evals:
+        check_digests.run(workdir, f"eval-{Path(model).stem}", ["eval", "--model", model, "--data", data])
     expected = {line.split()[1]: line for line in lines}
-    got = sorted(f"sha256 {p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}" for p in tmp_path.iterdir())
-    assert len(got) == 7
+    got = sorted(f"sha256 {p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}" for p in workdir.iterdir())
+    assert len(got) == files
     assert got == sorted(expected[line.split()[1]] for line in got)
+
+
+def test_the_readme_run_writes_the_committed_bytes(tmp_path, monkeypatch):
+    assert_committed_bytes(tmp_path, monkeypatch, ("gen", "train"), [("model.json", "data.csv")], 7)
+
+
+def test_the_hinge_sgd_runs_write_the_committed_bytes(tmp_path, monkeypatch):
+    # hidden 2 (the ensemble workload) and hidden 32, whose first layer is
+    # wider than its input
+    assert_committed_bytes(
+        tmp_path, monkeypatch, ("gen", "gen8", "ada8", "sgd"),
+        [("ens8.json", "data8.csv"), ("sgd.json", "data.csv")], 14,
+    )

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfieboost import nnet
 from selfieboost.errors import (
     ModelFormatError,
     ModelVersionError,
@@ -192,6 +193,27 @@ class TestForwardBatch:
         # own objects: frames, the pool, its futures
         bound = 8 * (m + weights + threads * (workspace + np.getbufsize())) + 2**15
         assert peak <= bound, f"peak {peak / 2**10:.0f} KiB over {bound / 2**10:.0f} KiB"
+
+    @pytest.mark.parametrize("hidden", [(), (1,), (8,), (9, 17)])
+    def test_scores_the_stack_that_stack_nets_builds(self, hidden, monkeypatch):
+        net = init_network(NetworkArchitecture(10, hidden), 3, 1.0)
+        for k, b in enumerate(net.biases):
+            b[...] = normals(k, *b.shape)
+        stacks = []
+
+        def recording(stack, x, work=None):
+            stacks.append(stack)
+            return forward_stacked(stack, x, work)
+
+        monkeypatch.setattr(nnet, "forward_stacked", recording)
+        forward_batch(net, normals(9, 5, 10))
+        [(expected, positions)] = stack_nets([net])
+        [got] = stacks
+        assert positions.tolist() == [0]
+        assert (got.input_dim, got.activation) == (expected.input_dim, expected.activation)
+        assert len(got.weights) == len(expected.weights) and len(got.biases) == len(expected.biases)
+        for a, b in zip(got.weights + got.biases, expected.weights + expected.biases):
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
 
 def normals(seed, *shape):
