@@ -19,12 +19,12 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, EmptyDatasetError, NumericError, ShapeError
 from .nnet import (
-    _ACTIVATIONS,
     FeedForwardNet,
     NetworkArchitecture,
-    _backprop_core,  # noqa: F401 -- unused; perfbench's boundary table names boost._backprop_core
-    _forward_cached,  # noqa: F401 -- unused; perfbench's boundary table names boost._forward_cached
+    _backprop_core,
+    _forward_cached,
     _pad8,
+    _train_workspace,
     forward_batch,
     init_network,
     sgd_step,  # noqa: F401 -- unused; perfbench's boundary table names boost.sgd_step
@@ -204,20 +204,6 @@ def surrogate_output_grad(labels: np.ndarray, snapshot: np.ndarray, candidate: n
 _CHUNK_BYTES = 2**17
 
 
-def _flat_params(dims: tuple[int, ...]):
-    """A zeroed flat vector for the parameters of a net of layer widths
-    ``dims``, and its views: the weights ``(out, in)``, each zero-padded to a
-    multiple of 8 columns, then the biases."""
-    shapes = [(o, k + -k % 8) for k, o in zip(dims, dims[1:])]
-    flat = np.zeros(sum(o * k + o for o, k in shapes))
-    weights, at = [], 0
-    for o, k in shapes:
-        weights.append(flat[at : at + o * k].reshape(o, k))
-        at += o * k
-    biases = np.split(flat[at:], np.cumsum(dims[1:-1]))
-    return flat, weights, biases
-
-
 def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> None:
     """``steps`` minibatch SGD updates of ``net`` in place, on rows of ``feats``:
     the one loop behind SelfieBoost's candidates and the baselines.
@@ -228,50 +214,17 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> No
     each vector in ``per_example``.  Non-finite scores or parameters raise
     :class:`NumericError`.
 
-    The run updates ``theta``, a flat copy of the parameters laid out by
-    :func:`_flat_params`, and copies it back into the net's arrays when it
-    ends, also when it raises.  Each layer is the einsum of ``_affine`` or
-    ``_backprop_core`` on operands that are already padded: the picked rows
-    once per chunk of steps, the weights in ``theta``, and the hidden
-    activations in buffers whose pad columns stay zero.  Gradients fill the
-    real columns of ``grad``, laid out like ``theta``, so its pad columns
-    stay zero too.  The net ends bit for bit where ``sgd_step``,
-    ``_backprop_core`` and ``_forward_cached`` on one minibatch per step
-    would leave it.  Three departures keep those bits:
-
-    - A layer with more outputs than inputs sums its weight gradient as
-      ``"mo,mh->ho"`` into an ``(in, out)`` buffer, copied transposed, so
-      einsum's inner loop runs along the wider axis.  The minibatch index
-      stays the outer loop: each element is still summed row by row.
-    - The one-unit output layer sends ``delta`` back as ``delta * w``, where
-      einsum's one-term sum turns a -0 into +0.  That sign could reach
-      ``theta`` only as ``t - lr * (±0)`` at ``t = -0``, and no ``t`` is -0:
-      init and widening make none, and ``t - lr * g`` makes one only from -0.
-    - Each step's scores go to row ``j`` of ``scores``, checked once per
-      chunk.  On a non-finite row ``theta`` is restored from the chunk's
-      start and the chunk rerun up to that step.  The scores are checked,
-      not ``theta``: the hinge's gradient is 0 at +inf with label +1.
+    Each step runs ``nnet``'s training kernel on one workspace, whose
+    ``theta`` is copied back into the net when the run ends, also when it
+    raises.  Rows are gathered and padded once per chunk of steps, and the
+    chunk's scores checked once: on a non-finite row ``theta`` is restored
+    from the chunk's start and the chunk rerun up to that step.  The scores
+    are checked, not ``theta``: the hinge's gradient is 0 at +inf with label +1.
     """
-    activate, derivative = _ACTIVATIONS[net.architecture.activation]
-    dims = net.architecture.dims
-    last = len(dims) - 2
-    theta, weights, biases = _flat_params(dims)
-    for w, b, w_pad, b_flat in zip(net.weights, net.biases, weights, biases):
-        w_pad[:, : w.shape[1]] = w
-        b_flat[:] = b
-    grad, grad_w, grad_b = _flat_params(dims)
-    grad_w = [g[:, :k] for g, k in zip(grad_w, dims)]  # the real columns
-    back_w = [w[:, :k] for w, k in zip(weights, dims)]
-    wide = [np.empty((k, o)) if o > k else None for k, o in zip(dims, dims[1:])]
-    # einsum picks its loop by the operands' strides, and a one-column view of
-    # a padded array is strided along the axis that the net's own one-column
-    # arrays hold contiguous: so the activations of a hidden layer one unit
-    # wide, and the weights that read them, enter backprop as copies
-    narrow = [i > 0 and k == 1 for i, k in enumerate(dims[:-1])]
-    z = [np.empty((batch, o)) for o in dims[1:-1]]
-    hidden = [np.zeros((batch, h + -h % 8)) for h in dims[1:-1]]
-    acts = [buf[:, :h] for buf, h in zip(hidden, dims[1:-1])]
-    chunk = max(1, _CHUNK_BYTES // (8 * batch * (2 * dims[0] + -dims[0] % 8 + len(per_example))))
+    work = _train_workspace(net, batch)
+    theta, grad = work.theta, work.grad
+    d = net.architecture.input_dim
+    chunk = max(1, _CHUNK_BYTES // (8 * batch * (2 * d + -d % 8 + len(per_example))))
     scores = np.empty((min(chunk, steps), batch, 1))
     picks = uniform_picks(rng, steps * batch, len(feats)).reshape(steps, batch)
     try:
@@ -286,27 +239,8 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> No
                 start, todo = theta.copy(), len(block)
                 while True:
                     for j in range(todo):
-                        x = padded[j]
-                        for i in range(last + 1):
-                            out = scores[j] if i == last else z[i]
-                            np.einsum("bk,ok->bo", x, weights[i], out=out)
-                            out += biases[i]
-                            if i < last:
-                                activate(out, out=acts[i])
-                                x = hidden[i]
-                        delta = upstream(scores[j, :, 0], *[v[j] for v in picked])[:, None]
-                        for i in range(last, -1, -1):
-                            x, w = (acts[i - 1], back_w[i]) if i else (xs[j], None)
-                            if narrow[i]:
-                                x, w = x.copy(), w.copy()
-                            if wide[i] is None:
-                                np.einsum("mo,mh->oh", delta, x, out=grad_w[i])
-                            else:
-                                grad_w[i][...] = np.einsum("mo,mh->ho", delta, x, out=wide[i]).T
-                            np.add.reduce(delta, axis=0, out=grad_b[i])
-                            if i:
-                                back = np.einsum("mo,oh->mh", delta, w) if i < last else delta * w
-                                delta = back * derivative(x)
+                        _forward_cached(work, padded[j], scores[j])
+                        _backprop_core(work, xs[j], upstream(scores[j, :, 0], *[v[j] for v in picked])[:, None])
                         theta -= lr * grad
                     if todo < len(block):  # the rerun, stopped before the failing step
                         # hand back the unused draws: the stream stands where
@@ -317,9 +251,8 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> No
                         break
                     todo, theta[...] = int(np.argmin(np.isfinite(scores[:todo]).all(axis=(1, 2)))), start
     finally:
-        for w, b, w_pad, b_flat in zip(net.weights, net.biases, weights, biases):
-            w[...] = w_pad[:, : w.shape[1]]
-            b[...] = b_flat
+        for p, q in zip(net.weights + net.biases, work.params):
+            p[...] = q
     for p in net.weights + net.biases:
         if not np.isfinite(p).all():
             raise NumericError("parameters became non-finite during SGD")

@@ -1,23 +1,25 @@
 """Minimal feed-forward scalar-output networks with exact manual backprop.
 
-Weights are per-layer ``(fan_out, fan_in)`` float64 matrices.  Forward
-evaluation and backprop are pure, backprop returning the gradients as values;
-:func:`sgd_step` applies them in place.  Every affine layer is
-one einsum over C-contiguous operands zero-padded to 8 columns, which makes
-three invariances hold bit for bit (``tests/test_nnet.py`` checks each): a row
-scores the same alone as in any batch, at any offset, stride or memory order,
-so :func:`forward_batch` equals looped :func:`forward` at any thread count;
-zero-weight inputs appended by :func:`widen` change no output; appended output
-units leave the others as they were.  By the last two, :func:`forward_stacked`,
-the one scoring kernel (:func:`forward_batch` runs it on a stack of one),
-scores nets with one einsum per layer and gives each the bits it has alone.
-Bit equality across CPU architectures or numpy builds is not claimed.
+Weights are per-layer ``(fan_out, fan_in)`` float64 matrices.  Every affine
+layer is one einsum over C-contiguous operands zero-padded to 8 columns, which
+makes three invariances hold bit for bit (``tests/test_nnet.py`` checks each):
+a row scores the same alone as in any batch, at any offset, stride or memory
+order, so :func:`forward_batch` equals looped :func:`forward` at any thread
+count; zero-weight inputs appended by :func:`widen` change no output; appended
+output units leave the others as they were.  By the last two,
+:func:`forward_stacked`, the one scoring kernel (:func:`forward_batch` runs it
+on a stack of one), scores nets with one einsum per layer and gives each the
+bits it has alone.  The SGD loop, :func:`backprop_batch` and :func:`grad_check`
+run the one training kernel, :func:`_forward_cached` and :func:`_backprop_core`
+on a ``TrainWorkspace``.  Bit equality across CPU architectures or numpy
+builds is not claimed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,27 +144,11 @@ def _pad8(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w.T + b`` as the one contiguous, 8-padded einsum described above."""
-    return np.einsum("bk,ok->bo", _pad8(x), _pad8(w)) + b
-
-
 def _check_batch(input_dim: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != input_dim:
         raise ShapeError(f"expected inputs of shape (m, {input_dim}), got {x.shape}")
     return x
-
-
-def _forward_cached(net: FeedForwardNet, x: np.ndarray) -> list[np.ndarray]:
-    """All layer activations of a validated batch, input first, scores last."""
-    activate = _ACTIVATIONS[net.architecture.activation][0]
-    acts = [x]
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = _affine(acts[-1], w, b)
-        acts.append(z if i == last else activate(z))
-    return acts
 
 
 def forward_batch(net: FeedForwardNet, x: np.ndarray, threads: int = 1) -> np.ndarray:
@@ -283,35 +269,112 @@ def forward_stacked(stack: NetStack, x: np.ndarray, work=None) -> np.ndarray:
 Gradients = tuple[list[np.ndarray], list[np.ndarray]]  # (weight grads, bias grads) per layer
 
 
-def _backprop_core(net: FeedForwardNet, acts, upstream: np.ndarray) -> Gradients:
-    """``sum_i upstream[i] * d score(x_i) / d theta`` from the activations of
-    :func:`_forward_cached`, layers processed output to input."""
-    derivative = _ACTIVATIONS[net.architecture.activation][1]
-    layers = len(net.weights)
-    weight_grads, bias_grads = [None] * layers, [None] * layers
-    delta = upstream[:, None]
-    for i in range(layers - 1, -1, -1):
-        weight_grads[i] = np.einsum("mo,mh->oh", delta, acts[i])
-        bias_grads[i] = delta.sum(axis=0)
-        if i > 0:
-            back = np.einsum("mo,oh->mh", delta, net.weights[i])
-            delta = back * derivative(acts[i])
-    return weight_grads, bias_grads
+def _flat_params(dims: tuple[int, ...]):
+    """A zeroed flat vector for the parameters of a net of layer widths ``dims``,
+    weights ``(out, in)`` zero-padded to a multiple of 8 columns, then biases;
+    and its views: the padded weights, and the real columns and the biases."""
+    shapes = [(o, k + -k % 8) for k, o in zip(dims, dims[1:])] + [(o,) for o in dims[1:]]
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.zeros(sum(sizes))
+    views = [v.reshape(shape) for v, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    weights = views[: len(dims) - 1]
+    return flat, weights, [w[:, :k] for w, k in zip(weights, dims)] + views[len(weights) :]
+
+
+# The training kernel's state for one net and batch size: ``theta`` and
+# ``grad`` laid out by _flat_params, their views ``params`` and ``grads``
+# shaped like ``net.weights + net.biases``, and the buffers that
+# _forward_cached (``fwd``) and _backprop_core (``bwd``) use.
+TrainWorkspace = namedtuple("TrainWorkspace", "theta grad params grads fwd bwd")
+
+
+def _train_workspace(net: FeedForwardNet, batch: int) -> TrainWorkspace:
+    """A ``TrainWorkspace`` for ``batch``-row batches, ``theta`` set to
+    ``net``'s parameters.  The hidden activations go to the real columns of
+    buffers whose pad columns stay zero, as ``theta``'s and ``grad``'s do."""
+    activate, derivative = _ACTIVATIONS[net.architecture.activation]
+    dims = net.architecture.dims
+    theta, weights, params = _flat_params(dims)
+    grad, _, grads = _flat_params(dims)
+    for p, q in zip(params, net.weights + net.biases):
+        p[...] = q
+    wide = [np.empty((k, o)) if o > k else None for k, o in zip(dims, dims[1:])]
+    # einsum picks its loop by the operands' strides, and a one-column view of
+    # a padded array is strided along the axis that an unpadded one-column
+    # array holds contiguous: so the activations of a hidden layer one unit
+    # wide, and the weights that read them, enter the backward pass as copies
+    narrow = [i > 0 and k == 1 for i, k in enumerate(dims[:-1])]
+    z = [np.empty((batch, o)) for o in dims[1:-1]]
+    hidden = [np.zeros((batch, h + -h % 8)) for h in dims[1:-1]]
+    acts = [buf[:, :h] for buf, h in zip(hidden, dims[1:-1])]
+    layers = len(weights)
+    return TrainWorkspace(theta, grad, params, grads, (weights, params[layers:], z, hidden, acts, activate),
+                          (acts, params[:layers], grads[:layers], grads[layers:], wide, narrow, derivative))
+
+
+def _forward_cached(work: TrainWorkspace, x: np.ndarray, out: np.ndarray) -> None:
+    """Scores into ``out``, shape ``(rows, 1)``, of the rows ``x``, zero-padded
+    like the first layer's weights; the hidden activations stay in ``work``
+    for :func:`_backprop_core`."""
+    weights, biases, z, hidden, acts, activate = work.fwd
+    last = len(z)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        o = out if i == last else z[i]
+        np.einsum("bk,ok->bo", x, w, out=o)
+        o += b
+        if i < last:
+            activate(o, out=acts[i])
+            x = hidden[i]
+
+
+def _backprop_core(work: TrainWorkspace, x: np.ndarray, delta: np.ndarray) -> None:
+    """``work.grad`` of ``sum_i delta[i, 0] * score(x_i)`` after
+    :func:`_forward_cached` on the same rows, ``x`` unpadded.  Two departures
+    from one plain einsum per gradient and per ``delta`` keep their bits:
+
+    - A layer with more outputs than inputs sums its weight gradient as
+      ``"mo,mh->ho"`` into an ``(in, out)`` buffer, copied transposed, so
+      einsum's inner loop runs along the wider axis.  The batch index stays
+      the outer loop: each element is still summed row by row.
+    - The one-unit output layer sends ``delta`` back as ``delta * w``, where
+      einsum's one-term sum turns a -0 into +0.  That sign could reach
+      ``theta`` only as ``t - lr * (±0)`` at ``t = -0``, and no ``t`` is -0:
+      init and widening make none, and ``t - lr * g`` makes one only from -0.
+    """
+    acts, weights, grad_w, grad_b, wide, narrow, derivative = work.bwd
+    last = len(weights) - 1
+    for i in range(last, -1, -1):
+        a, w = (acts[i - 1], weights[i]) if i else (x, None)
+        if narrow[i]:
+            a, w = a.copy(), w.copy()
+        if wide[i] is None:
+            np.einsum("mo,mh->oh", delta, a, out=grad_w[i])
+        else:
+            grad_w[i][...] = np.einsum("mo,mh->ho", delta, a, out=wide[i]).T
+        np.add.reduce(delta, axis=0, out=grad_b[i])
+        if i:
+            back = np.einsum("mo,oh->mh", delta, w) if i < last else delta * w
+            delta = back * derivative(a)
 
 
 def backprop_batch(net: FeedForwardNet, x: np.ndarray, upstream: np.ndarray) -> Gradients:
-    """Gradients of ``sum_i upstream[i] * score(x_i)`` wrt every parameter."""
+    """Gradients of ``sum_i upstream[i] * score(x_i)`` wrt every parameter,
+    from one step of the training kernel; views into its ``grad``."""
     x = _check_batch(net.architecture.input_dim, x)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (x.shape[0],):
         raise ShapeError(f"upstream must have shape ({x.shape[0]},), got {upstream.shape}")
-    return _backprop_core(net, _forward_cached(net, x), upstream)
+    work = _train_workspace(net, len(x))
+    _forward_cached(work, _pad8(x), np.empty((len(x), 1)))
+    _backprop_core(work, x, upstream[:, None])
+    layers = len(net.weights)
+    return work.grads[:layers], work.grads[layers:]
 
 
 def sgd_step(net: FeedForwardNet, grads: Gradients, lr: float) -> None:
     """``theta -= lr * grad`` for every parameter; ``grads`` is left as it is."""
-    if lr <= 0:
-        raise ValueError("lr must be > 0")
+    if not 0 < lr < math.inf:  # also rejects nan
+        raise ValueError(f"lr must be a finite number > 0, got {lr}")
     weight_grads, bias_grads = grads
     for p, g in zip(net.weights + net.biases, weight_grads + bias_grads):
         p -= lr * g
@@ -348,32 +411,35 @@ def widen(net: FeedForwardNet, extra_units: int, seed: int) -> FeedForwardNet:
 
 
 def grad_check(net: FeedForwardNet, x: np.ndarray, eps: float) -> float:
-    """Max relative error between backprop and central finite differences.
+    """Max relative error between the training kernel's backward pass and
+    central finite differences of its forward pass, at one input.
 
-    Relative error is ``|a - n| / max(1e-8, |a| + |n|)``.  For relu nets,
-    parameters whose perturbation switches any hidden unit on or off are
-    skipped: the kink makes the finite difference meaningless there.
+    Relative error is ``|a - n| / max(1e-8, |a| + |n|)``.  The perturbations
+    go to the kernel's own copy of the parameters, never to ``net``.  For
+    relu nets, parameters whose perturbation switches any hidden unit on or
+    off are skipped: the kink makes the finite difference meaningless there.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    xb = np.asarray(x, dtype=np.float64)[None, ...]  # a one-row batch; other shapes raise ShapeError
-    weight_grads, bias_grads = backprop_batch(net, xb, np.array([1.0]))
-
+    if not 0 < eps < math.inf:  # also rejects nan
+        raise ValueError(f"eps must be a finite number > 0, got {eps}")
+    xb = _check_batch(net.architecture.input_dim, np.asarray(x, dtype=np.float64)[None])  # or ShapeError
+    work, padded, score = _train_workspace(net, 1), _pad8(xb), np.empty((1, 1))
+    _forward_cached(work, padded, score)
+    _backprop_core(work, xb, np.ones((1, 1)))
+    acts = work.bwd[0]
     is_relu = net.architecture.activation == "relu"
     worst = 0.0
-    for arr, grads in zip(net.weights + net.biases, weight_grads + bias_grads):
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            acts_p = _forward_cached(net, xb)
-            arr[idx] = orig - eps
-            acts_m = _forward_cached(net, xb)
-            arr[idx] = orig
-            if is_relu and any(
-                np.any((ap > 0.0) != (am > 0.0)) for ap, am in zip(acts_p[1:-1], acts_m[1:-1])
-            ):
+    for p, grads in zip(work.params, work.grads):
+        for idx in np.ndindex(p.shape):
+            orig = p[idx]
+            p[idx] = orig + eps
+            _forward_cached(work, padded, score)
+            plus, on = score[0, 0], [h > 0.0 for h in acts] if is_relu else ()
+            p[idx] = orig - eps
+            _forward_cached(work, padded, score)
+            p[idx] = orig
+            if any(np.any(o != (h > 0.0)) for o, h in zip(on, acts)):
                 continue
-            numeric = (acts_p[-1][0, 0] - acts_m[-1][0, 0]) / (2.0 * eps)
+            numeric = (plus - score[0, 0]) / (2.0 * eps)
             a = float(grads[idx])
             worst = max(worst, abs(a - numeric) / max(1e-8, abs(a) + abs(numeric)))
     return worst

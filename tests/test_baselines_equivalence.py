@@ -12,14 +12,10 @@ from selfieboost.baselines import (
 from selfieboost.boost import BoostConfig, SgdParams
 from selfieboost.data import gen_realizable
 from selfieboost.errors import ModelFormatError
-from selfieboost.nnet import (
-    NetworkArchitecture,
-    backprop_batch,
-    forward_batch,
-    init_network,
-    sgd_step,
-)
+from selfieboost.nnet import NetworkArchitecture, init_network
 from selfieboost.sampling import SplitMix64, uniform_picks
+
+import sgd_oracle
 
 
 @pytest.fixture(scope="module")
@@ -39,14 +35,14 @@ def test_plain_sgd_net_equals_hinge_sgd_bitwise(data):
 
 
 def hinge_steps_two_pass(net, data, steps, lr, batch, rng):
-    """Hinge SGD that scores each minibatch with ``forward_batch`` and lets
-    ``backprop_batch`` run its own forward pass again."""
+    """Hinge SGD in the plain numpy of ``sgd_oracle`` that scores each
+    minibatch with one forward pass and runs another for the step."""
     for pick in uniform_picks(rng, steps * batch, data.m).reshape(steps, batch):
         xb = data.features[pick]
         yb = data.labels[pick]
-        scores = forward_batch(net, xb)
+        scores = sgd_oracle.scores(net, xb)
         upstream = np.where(yb * scores < 1.0, -yb, 0.0) / batch
-        sgd_step(net, backprop_batch(net, xb, upstream), lr)
+        sgd_oracle.step(net, sgd_oracle.forward_cached(net, xb), upstream, lr)
 
 
 @pytest.mark.parametrize("lr", [0.05])

@@ -28,15 +28,10 @@ from selfieboost.boost import (
 )
 from selfieboost.data import Dataset, gen_realizable
 from selfieboost.errors import ConfigError, NumericError
-from selfieboost.nnet import (
-    NetworkArchitecture,
-    backprop_batch,
-    forward,
-    forward_batch,
-    init_network,
-    sgd_step,
-)
+from selfieboost.nnet import NetworkArchitecture, forward, forward_batch, init_network
 from selfieboost.sampling import SplitMix64, uniform_picks
+
+import sgd_oracle
 
 
 @pytest.fixture(scope="module")
@@ -101,17 +96,18 @@ def brute_force_edge(margins_vec, raw, labels, cand):
 
 def reference_sgd(net, feats, steps, lr, batch, rng, loss):
     """The SGD run that ``_sgd_loop`` must match bit for bit, done the plain
-    way: per step one draw of ``batch`` picks, one gather, ``forward_batch``,
-    ``backprop_batch`` and ``sgd_step``, with ``loss(pick, scores)``.
+    way: per step one draw of ``batch`` picks, one gather, and the plain
+    numpy forward pass and step of ``sgd_oracle``, with ``loss(pick, scores)``.
     Returns the step whose scores were non-finite, where the run stops, or
     None; non-finite parameters at the end raise ``NumericError``."""
     with np.errstate(all="ignore"):
         for k in range(steps):
             pick = uniform_picks(rng, batch, len(feats))
-            scores = forward_batch(net, feats[pick])
+            acts = sgd_oracle.forward_cached(net, feats[pick])
+            scores = acts[-1][:, 0]
             if not np.isfinite(scores).all():
                 return k
-            sgd_step(net, backprop_batch(net, feats[pick], loss(pick, scores)), lr)
+            sgd_oracle.step(net, acts, loss(pick, scores), lr)
     if not all(np.isfinite(p).all() for p in net.weights + net.biases):
         raise NumericError("parameters became non-finite during SGD")
     return None
@@ -358,9 +354,10 @@ class TestSgdLoop:
         with np.errstate(all="ignore"):
             for k in range(20):
                 pick = uniform_picks(rng, 4, 40)
-                scores = forward_batch(unchecked, feats[pick])
+                acts = sgd_oracle.forward_cached(unchecked, feats[pick])
+                scores = acts[-1][:, 0]
                 assert np.isfinite(scores).all() == (k < failing_step or 0 not in pick)
-                sgd_step(unchecked, backprop_batch(unchecked, feats[pick], loss(pick, scores)), 0.01)
+                sgd_oracle.step(unchecked, acts, loss(pick, scores), 0.01)
         assert all(np.isfinite(p).all() for p in unchecked.weights + unchecked.biases)
         with mock.patch.object(boost, "_CHUNK_BYTES", self.BLOW_UP_CHUNK_BYTES):
             failed_at = self.run_both(net, data, None, None, "hinge", 20, 0.01, 4, seed)

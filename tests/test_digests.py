@@ -1,5 +1,5 @@
 """A tier-1 subset of ``scripts/check_digests.py``: the README run's
-``gen-data``, ``train`` and ``eval``, and the hinge SGD runs of the
+``gen-data``, ``train``, ``verify`` and ``eval``, and the hinge SGD runs of the
 ``ensemble`` workload and of ``--algo sgd``, must write the bytes that
 ``scripts/digests.txt`` records for them.  The full script stays a step of
 every change; this catches a changed output bit without it."""
@@ -36,7 +36,8 @@ def assert_committed_bytes(workdir, monkeypatch, names, evals, files):
 
 
 def test_the_readme_run_writes_the_committed_bytes(tmp_path, monkeypatch):
-    assert_committed_bytes(tmp_path, monkeypatch, ("gen", "train"), [("model.json", "data.csv")], 7)
+    # verify's grad suite line pins the gradient-checked backward pass
+    assert_committed_bytes(tmp_path, monkeypatch, ("gen", "train", "verify"), [("model.json", "data.csv")], 8)
 
 
 def test_the_hinge_sgd_runs_write_the_committed_bytes(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfieboost import nnet
+from selfieboost.baselines import EnsembleModel
 from selfieboost.errors import (
     ModelFormatError,
     ModelVersionError,
@@ -19,8 +20,10 @@ from selfieboost.errors import (
 )
 from selfieboost.nnet import (
     _ROWS,
-    _affine,
     FeedForwardNet,
+    _forward_cached,
+    _pad8,
+    _train_workspace,
     NetworkArchitecture,
     backprop_batch,
     forward,
@@ -37,6 +40,8 @@ from selfieboost.nnet import (
     write_json,
 )
 from selfieboost.sampling import SplitMix64
+
+import sgd_oracle
 
 
 def make_linear(weights, bias):
@@ -237,35 +242,61 @@ def test_importing_the_cli_loads_no_thread_pool():
     assert out.stdout == "False\n"
 
 
+def random_net(seed, k, hidden):
+    """A tanh net with normal weights and biases."""
+    arch = NetworkArchitecture(k, hidden)
+    dims = arch.dims
+    weights = [normals(seed + 2 * i, o, n) for i, (n, o) in enumerate(zip(dims, dims[1:]))]
+    biases = [normals(seed + 2 * i + 1, o) for i, o in enumerate(dims[1:])]
+    return FeedForwardNet(arch, weights, biases)
+
+
+def train_forward(net, x):
+    """The training kernel's forward pass on the rows ``x``, padded as the
+    SGD loop pads them: each hidden layer's activations, then the scores."""
+    work, scores = _train_workspace(net, len(x)), np.empty((len(x), 1))
+    _forward_cached(work, _pad8(x), scores)
+    return [a.copy() for a in work.bwd[0]] + [scores[:, 0]]
+
+
+def assert_same_layers(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert_same_bits(a, b)
+
+
 class TestKernelContract:
-    """The invariances the ``nnet`` docstring guarantees, compared bit for bit."""
+    """The invariances the ``nnet`` docstring guarantees, compared bit for bit
+    in the scoring kernel and in the training kernel's forward pass."""
 
     @settings(max_examples=30, deadline=None)
     @given(rows=st.integers(1, 12), k=WIDTHS, out=st.integers(1, 20), seed=st.integers(0, 2**32))
     def test_row_subsets_at_every_offset_and_stride(self, rows, k, out, seed):
-        x, w, b = normals(seed, rows, k), normals(seed + 1, out, k), normals(seed + 2, out)
-        full = _affine(x, w, b)
-        net = init_network(NetworkArchitecture(k, (out,)), seed, 1.0)
+        x, net = normals(seed, rows, k), random_net(seed + 1, k, (out,))
+        full = train_forward(net, x)
         scores = forward_batch(net, x)
+        assert_same_bits(full[-1], scores)
         for off in range(rows):
-            assert_same_bits(_affine(x[off : off + 1], w, b), full[off : off + 1])
             assert forward(net, x[off]) == scores[off]
             for stride in range(1, rows + 1):
-                assert_same_bits(_affine(x[off::stride], w, b), full[off::stride])
+                assert_same_layers(train_forward(net, x[off::stride]), [a[off::stride] for a in full])
                 assert_same_bits(forward_batch(net, x[off::stride]), scores[off::stride])
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(1, 40), k=WIDTHS, out=st.integers(1, 20), seed=st.integers(0, 2**32))
     def test_memory_order_is_irrelevant(self, rows, k, out, seed):
-        x, w, b = normals(seed, rows, 2 * k), normals(seed + 1, out, 2 * k), normals(seed + 2, out)
-        strided, w_strided = x[:, ::2], w[:, ::2]
-        expected = _affine(strided.copy(), w_strided.copy(), b)
-        assert_same_bits(_affine(strided, w_strided, b), expected)
-        assert_same_bits(_affine(np.asfortranarray(strided), np.asfortranarray(w_strided), b), expected)
-        net = init_network(NetworkArchitecture(k, (out,)), seed, 1.0)
-        scores = forward_batch(net, strided.copy())
-        assert_same_bits(forward_batch(net, strided), scores)
-        assert_same_bits(forward_batch(net, np.asfortranarray(strided)), scores)
+        # the inputs, and the first layer's weights, contiguous, strided and
+        # in Fortran order
+        x, net = normals(seed, rows, 2 * k), random_net(seed + 1, 2 * k, (out,))
+        strided, w_strided = x[:, ::2], net.weights[0][:, ::2]
+        nets = [FeedForwardNet(NetworkArchitecture(k, (out,)), [w, net.weights[1]], net.biases)
+                for w in (w_strided.copy(), w_strided, np.asfortranarray(w_strided))]
+        expected = train_forward(nets[0], strided.copy())
+        scores = forward_batch(nets[0], strided.copy())
+        for layout in (strided, np.asfortranarray(strided)):
+            for strided_net in nets:
+                assert_same_layers(train_forward(strided_net, layout), expected)
+                assert_same_bits(forward_batch(strided_net, layout), scores)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -273,14 +304,12 @@ class TestKernelContract:
         seed=st.integers(0, 2**32),
     )
     def test_zero_weight_columns_change_nothing(self, rows, k, extra, out, seed):
-        x, w, b = normals(seed, rows, k + extra), normals(seed + 1, out, k), normals(seed + 2, out)
-        w_ext = np.hstack([w, np.zeros((out, extra))])
-        assert_same_bits(_affine(x, w_ext, b), _affine(x[:, :k].copy(), w, b))
-        net = init_network(NetworkArchitecture(k, (out,)), seed, 1.0)
+        x, net = normals(seed, rows, k + extra), random_net(seed + 1, k, (out,))
         ext = FeedForwardNet(
             NetworkArchitecture(k + extra, (out,)),
             [np.hstack([net.weights[0], np.zeros((out, extra))]), net.weights[1]], net.biases,
         )
+        assert_same_layers(train_forward(ext, x), train_forward(net, x[:, :k].copy()))
         assert_same_bits(forward_batch(ext, x), forward_batch(net, x[:, :k].copy()))
 
     @settings(max_examples=40, deadline=None)
@@ -289,27 +318,19 @@ class TestKernelContract:
         seed=st.integers(0, 2**32),
     )
     def test_extra_output_rows_change_nothing(self, rows, k, out, extra, seed):
-        x, w, b = normals(seed, rows, k), normals(seed + 1, out + extra, k), normals(seed + 2, out + extra)
-        assert_same_bits(_affine(x, w, b)[:, :out], _affine(x, w[:out].copy(), b[:out].copy()))
-
-
-def oracle_scores(net, x):
-    """The scoring arithmetic before per-call workspaces, from plain numpy: per
-    layer the input and weights in C order, zero-padded to a multiple of 8
-    columns, one ``"bk,ok->bo"`` einsum plus the bias, then the activation."""
-
-    def padded(a):
-        a = np.ascontiguousarray(a)
-        out = np.zeros((a.shape[0], a.shape[1] + -a.shape[1] % 8))
-        out[:, : a.shape[1]] = a
-        return out
-
-    act = np.asarray(x, dtype=np.float64)
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        act = np.einsum("bk,ok->bo", padded(act), padded(w)) + b
-        if i < len(net.weights) - 1:
-            act = np.tanh(act) if net.architecture.activation == "tanh" else np.maximum(act, 0.0)
-    return act[:, 0]
+        # the extra hidden units have zero outgoing weights, so the scores
+        # stay as well as the other units
+        x, big = normals(seed, rows, k), random_net(seed + 1, k, (out + extra,))
+        big.weights[1][:, out:] = 0.0
+        small = FeedForwardNet(
+            NetworkArchitecture(k, (out,)),
+            [big.weights[0][:out].copy(), big.weights[1][:, :out].copy()],
+            [big.biases[0][:out].copy(), big.biases[1]],
+        )
+        (hidden_big, scores_big), (hidden_small, scores_small) = train_forward(big, x), train_forward(small, x)
+        assert_same_bits(hidden_big[:, :out], hidden_small)
+        assert_same_bits(scores_big, scores_small)
+        assert_same_bits(forward_batch(big, x), scores_small)
 
 
 class TestStackedForward:
@@ -338,7 +359,7 @@ class TestStackedForward:
         stacked = forward_stacked(stack, x)
         assert stacked.shape == (rows, len(nets))
         for i, net in enumerate(nets):
-            expected = oracle_scores(net, x)
+            expected = sgd_oracle.scores(net, x)
             assert_same_bits(stacked[:, positions[i]], expected)
             assert_same_bits(forward_batch(net, x, threads), expected)
             for r in sorted({0, rows // 2, rows - 1}) if rows else ():
@@ -401,14 +422,16 @@ class TestGradCheck:
         net = make_linear([1.25, -0.5], 0.75)
         assert grad_check(net, np.array([0.5, 2.0]), 1e-4) <= 1e-10
 
-    # two hidden layers make backprop read a derivative below the first one
-    @pytest.mark.parametrize("hidden", [(8,), (7, 4)], ids=["8", "7-4"])
+    # two hidden layers make backprop read a derivative below the first one;
+    # layers wider than their input take the transposed weight gradient, and
+    # the layer after a one-unit layer reads copies of its one-column views
+    @pytest.mark.parametrize("hidden", [(8,), (7, 4), (1,), (4, 1, 3)], ids=["8", "7-4", "1", "4-1-3"])
     def test_random_tanh_net(self, hidden):
         net = init_network(NetworkArchitecture(5, hidden), 123, 1.0)
         x = SplitMix64(77).normal_block(5)
         assert grad_check(net, x, 1e-4) <= 1e-6
 
-    @pytest.mark.parametrize("hidden", [(10,), (7, 4)], ids=["10", "7-4"])
+    @pytest.mark.parametrize("hidden", [(10,), (7, 4), (1,), (4, 1, 3)], ids=["10", "7-4", "1", "4-1-3"])
     def test_random_relu_net(self, hidden):
         net = init_network(NetworkArchitecture(6, hidden, "relu"), 9, 1.0)
         x = SplitMix64(13).normal_block(6)
@@ -416,8 +439,18 @@ class TestGradCheck:
 
     def test_eps_must_be_positive(self):
         net = make_linear([1.0], 0.0)
-        with pytest.raises(ValueError):
-            grad_check(net, np.array([1.0]), 0.0)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                grad_check(net, np.array([1.0]), eps)
+
+    def test_read_only_member_of_an_ensemble(self):
+        # the perturbations go to the kernel's copy of the parameters
+        net = init_network(NetworkArchitecture(4, (5,)), 2, 1.0)
+        x = SplitMix64(3).normal_block(4)
+        member = EnsembleModel((net.copy(),), (1.0,)).members[0]
+        before = [p.tobytes() for p in member.weights + member.biases]
+        assert grad_check(member, x, 1e-4) == grad_check(net, x, 1e-4)
+        assert [p.tobytes() for p in member.weights + member.biases] == before
 
 
 def zero_grads(net):
@@ -458,8 +491,10 @@ class TestSgdStep:
 
     def test_rejects_nonpositive_lr(self):
         net = make_linear([1.0], 0.0)
-        with pytest.raises(ValueError):
-            sgd_step(net, zero_grads(net), 0.0)
+        for lr in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sgd_step(net, zero_grads(net), lr)
+        assert net.weights[0][0, 0] == 1.0 and net.biases[0][0] == 0.0
 
 
 class TestWiden:
