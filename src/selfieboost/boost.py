@@ -212,14 +212,14 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> No
     one draw of ``batch`` per step.  ``upstream(scores, *picked)`` is the loss
     gradient wrt the scores, where ``picked`` holds the minibatch's entries of
     each vector in ``per_example``.  Non-finite scores or parameters raise
-    :class:`NumericError`.
+    :class:`NumericError`; a run that raises leaves the net as it was.
 
     Each step runs ``nnet``'s training kernel on one workspace, whose
-    ``theta`` is copied back into the net when the run ends, also when it
-    raises.  Rows are gathered and padded once per chunk of steps, and the
-    chunk's scores checked once: on a non-finite row ``theta`` is restored
-    from the chunk's start and the chunk rerun up to that step.  The scores
-    are checked, not ``theta``: the hinge's gradient is 0 at +inf with label +1.
+    ``theta`` is copied into the net once, when the run succeeds.  Rows are
+    gathered and padded once per chunk of steps, and the chunk's scores
+    checked once; on a non-finite row the unused draws after its step go back
+    to ``rng``.  The scores are checked, not only ``theta``: the hinge's
+    gradient is 0 at +inf with label +1.
     """
     work = _train_workspace(net, batch)
     theta, grad = work.theta, work.grad
@@ -227,35 +227,28 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> No
     chunk = max(1, _CHUNK_BYTES // (8 * batch * (2 * d + -d % 8 + len(per_example))))
     scores = np.empty((min(chunk, steps), batch, 1))
     picks = uniform_picks(rng, steps * batch, len(feats)).reshape(steps, batch)
-    try:
-        # overflow surfaces as NumericError via the explicit checks below, so
-        # numpy's intermediate warnings carry no extra information here
-        with np.errstate(all="ignore"):
-            for c in range(0, steps, chunk):
-                block = picks[c : c + chunk]
-                xs = feats[block]
-                padded = _pad8(xs)
-                picked = [v[block] for v in per_example]
-                start, todo = theta.copy(), len(block)
-                while True:
-                    for j in range(todo):
-                        _forward_cached(work, padded[j], scores[j])
-                        _backprop_core(work, xs[j], upstream(scores[j, :, 0], *[v[j] for v in picked])[:, None])
-                        theta -= lr * grad
-                    if todo < len(block):  # the rerun, stopped before the failing step
-                        # hand back the unused draws: the stream stands where
-                        # drawing one minibatch per step would have left it
-                        rng.skip(-(steps - c - todo - 1) * batch)
-                        raise NumericError("scores became non-finite during SGD")
-                    if np.isfinite(scores[:todo]).all():
-                        break
-                    todo, theta[...] = int(np.argmin(np.isfinite(scores[:todo]).all(axis=(1, 2)))), start
-    finally:
-        for p, q in zip(net.weights + net.biases, work.params):
-            p[...] = q
-    for p in net.weights + net.biases:
-        if not np.isfinite(p).all():
-            raise NumericError("parameters became non-finite during SGD")
+    # overflow surfaces as NumericError via the explicit checks below, so
+    # numpy's intermediate warnings carry no extra information here
+    with np.errstate(all="ignore"):
+        for c in range(0, steps, chunk):
+            block = picks[c : c + chunk]
+            xs = feats[block]
+            padded = _pad8(xs)
+            picked = [v[block] for v in per_example]
+            for j in range(len(block)):
+                _forward_cached(work, padded[j], scores[j])
+                _backprop_core(work, xs[j], upstream(scores[j, :, 0], *[v[j] for v in picked])[:, None])
+                theta -= lr * grad
+            finite = np.isfinite(scores[: len(block)]).all(axis=(1, 2))
+            if not finite.all():
+                # the stream stands where drawing one minibatch per step, up
+                # to the failing one, would have left it
+                rng.skip(-(steps - c - int(np.argmin(finite)) - 1) * batch)
+                raise NumericError("scores became non-finite during SGD")
+    if not np.isfinite(theta).all():
+        raise NumericError("parameters became non-finite during SGD")
+    for p, q in zip(net.weights + net.biases, work.params):
+        p[...] = q
 
 
 def sgd_inner(
@@ -281,7 +274,8 @@ def sgd_inner(
     the unit margin-shift boundary, so a fully optimized candidate overshoots
     it on roughly half the examples and the acceptance test must reject it.
     Acceptance wants partial progress, and the retry policy grows the budget
-    geometrically until the edge test is satisfied.
+    geometrically until the edge test is satisfied.  A run that raises
+    :class:`NumericError` leaves the candidate as it was.
     """
     if len(working_set) == 0:
         raise EmptyDatasetError("working set is empty")

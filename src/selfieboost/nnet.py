@@ -158,9 +158,8 @@ def forward_batch(net: FeedForwardNet, x: np.ndarray, threads: int = 1) -> np.nd
     ``_ROWS``-row blocks; thread ``t`` of ``threads`` scores blocks ``t, t +
     threads, ...`` over a workspace of its own, so no output depends on it.
     """
-    x, arch = _check_batch(net.architecture.input_dim, x), net.architecture
-    stack = NetStack(arch.input_dim, arch.activation, tuple(_pad8(w)[None] for w in net.weights),
-                     tuple(b[None] for b in net.biases))  # the arrays of stack_nets([net])
+    x = _check_batch(net.architecture.input_dim, x)
+    ((stack, _),) = stack_nets([net])
     scores = np.empty(x.shape[0])
     starts = range(0, x.shape[0], _ROWS)
     workers = max(1, min(threads, len(starts)))

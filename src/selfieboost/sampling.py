@@ -91,6 +91,8 @@ def uniform_picks(rng: SplitMix64, count: int, n: int) -> np.ndarray:
     ``s`` draws of ``b``, because the generator is counter-based."""
     if count < 0:
         raise ValueError(f"cannot draw {count} picks")
+    if n < 1:
+        raise ValueError(f"cannot pick from {n} rows")
     return np.minimum((rng.uniform_block(count) * n).astype(np.int64), n - 1)
 
 

@@ -87,8 +87,8 @@ def iteration_count_for(epsilon: float, rho: float) -> int:
     """Iterations sufficient for training error ``epsilon``: ``ceil(log(1/eps)/rho)``."""
     if not 0 < epsilon < 1:
         raise DomainError("epsilon must lie in (0, 1)")
-    if rho <= 0:
-        raise DomainError("rho must be > 0")
+    if not 0 < rho < math.inf:  # also rejects nan
+        raise DomainError("rho must be a finite number > 0")
     # tiny backoff so an analytically integer ratio never rounds up
     return math.ceil(math.log(1.0 / epsilon) / rho - 1e-9)
 

@@ -242,18 +242,20 @@ class TestSgdInner:
         # the output bias overflows to inf while every weight and score stays finite
         net = init_network(NetworkArchitecture(1, (2,)), 0, 1.0)
         feats = np.array([[1e-200], [-1e-200]])
+        start = net.copy()
         with pytest.raises(NumericError, match="parameters"):
             _sgd_loop(net, feats, 2, 1.7e308, 1, SplitMix64(1), lambda scores: -np.ones(len(scores)))
-        assert all(np.isfinite(w).all() for w in net.weights)
-        assert not np.isfinite(net.biases[-1]).all()
+        for p, q in zip(net.weights + net.biases, start.weights + start.biases):
+            assert p.tobytes() == q.tobytes() and np.isfinite(p).all()
 
 
 WIDTHS = st.one_of(st.sampled_from([1, 8, 9, 16, 17, 32, 40]), st.integers(1, 40))
 
 
 class TestSgdLoop:
-    """``_sgd_loop`` against :func:`reference_sgd`: the same parameters, bit
-    for bit, the same outcome and the same stream position afterwards."""
+    """``_sgd_loop`` against :func:`reference_sgd`: the same outcome, the same
+    stream position afterwards, and after a success the same parameters, bit
+    for bit; a run that raises leaves the net with its starting bytes."""
 
     @staticmethod
     def run_both(net, data, working_set, snapshot, loss, steps, lr, batch, seed):
@@ -280,8 +282,9 @@ class TestSgdLoop:
         else:
             ref_outcome = None if failed_at is None else "scores became non-finite during SGD"
         assert outcome == ref_outcome
-        for a, b in zip(ours.weights + ours.biases, theirs.weights + theirs.biases):
-            assert a.tobytes() == b.tobytes()
+        expected = net if outcome else theirs
+        for a, b in zip(ours.weights + ours.biases, expected.weights + expected.biases):
+            assert a.tobytes() == b.tobytes() and np.isfinite(a).all()
         assert rng.next_u64() == ref_rng.next_u64()
         return failed_at
 

@@ -1,8 +1,9 @@
 """A tier-1 subset of ``scripts/check_digests.py``: the README run's
-``gen-data``, ``train``, ``verify`` and ``eval``, and the hinge SGD runs of the
-``ensemble`` workload and of ``--algo sgd``, must write the bytes that
-``scripts/digests.txt`` records for them.  The full script stays a step of
-every change; this catches a changed output bit without it."""
+``gen-data``, ``train``, ``verify`` and ``eval``, the hinge SGD runs of the
+``ensemble`` workload and of ``--algo sgd``, and the runs whose SGD blows up,
+must write the bytes that ``scripts/digests.txt`` records for them.  The full
+script stays a step of every change; this catches a changed output bit
+without it."""
 
 import hashlib
 import importlib.util
@@ -46,4 +47,12 @@ def test_the_hinge_sgd_runs_write_the_committed_bytes(tmp_path, monkeypatch):
     assert_committed_bytes(
         tmp_path, monkeypatch, ("gen", "gen8", "ada8", "sgd"),
         [("ens8.json", "data8.csv"), ("sgd.json", "data.csv")], 14,
+    )
+
+
+def test_the_sgd_blow_up_runs_write_the_committed_bytes(tmp_path, monkeypatch):
+    # SelfieBoost attempts that end in NumericError mid-loop and retry, and
+    # both baselines' blow-ups (exit 5, no model and no metrics file)
+    assert_committed_bytes(
+        tmp_path, monkeypatch, ("numgen", "num", "sgdnum", "adanum"), [("num.json", "numdata.csv")], 9,
     )

@@ -74,6 +74,14 @@ class TestSplitMix64:
             uniform_picks(rng, -1, 5)
         assert rng.next_u64() == SplitMix64(11).next_u64()
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_uniform_picks_reject_no_rows(self, n):
+        # without the check every pick would be n - 1: row -1 wraps to the last row
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError):
+            uniform_picks(rng, 3, n)
+        assert rng.next_u64() == SplitMix64(1).next_u64()
+
     @pytest.mark.parametrize("k", [0, 1, 37])
     def test_skip_equals_k_outputs(self, k):
         a, b = SplitMix64(2**63 + 17), SplitMix64(2**63 + 17)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfieboost import boost
@@ -51,15 +51,21 @@ class TestLseDeficit:
 
     @settings(max_examples=150)
     @given(
-        theta=st.lists(st.floats(-30, 30), min_size=1, max_size=64),
-        data=st.data(),
+        pair=st.integers(1, 64).flatmap(lambda n: st.tuples(
+            st.lists(st.floats(-30, 30), min_size=n, max_size=n),
+            st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+        )),
     )
-    def test_nonnegative_on_downward_moves(self, theta, data):
-        theta = np.asarray(theta)
-        u = np.asarray(data.draw(
-            st.lists(st.floats(0.0, 1.0), min_size=len(theta), max_size=len(theta))
-        ))
-        assert lse_inequality_deficit(theta, theta - u) >= -1e-9
+    # theta - u rounds, so theta - lam reads 1.0000000000000018: outside the domain
+    @example(pair=([0.0] * 5 + [-15.470968232328259], [0.0] * 5 + [1.0]))
+    def test_nonnegative_on_downward_moves(self, pair):
+        theta, u = map(np.asarray, pair)
+        lam = theta - u
+        if np.max(theta - lam) > 1.0:
+            with pytest.raises(DomainError):
+                lse_inequality_deficit(theta, lam)
+        else:
+            assert lse_inequality_deficit(theta, lam) >= -1e-9
 
     def test_documented_counterexample_outside_guarantee(self):
         """Upward moves on low-weight slots satisfy the precondition yet
@@ -164,8 +170,9 @@ class TestIterationCount:
             iteration_count_for(0.0, 0.1)
         with pytest.raises(DomainError):
             iteration_count_for(1.0, 0.1)
-        with pytest.raises(DomainError):
-            iteration_count_for(0.1, 0.0)
+        for rho in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                iteration_count_for(0.1, rho)
 
 
 class TestPotentialChainOnRealPairs:
