@@ -112,6 +112,15 @@ COMMANDS = (
                "--batch 1 --sgd-steps 200 --seed 42"),
     ("bigbatch", "train --data data.csv --out-model bigbatch.json --metrics bigbatch.csv "
                  "--hidden 9,17 --T 3 --n 16 --batch 64 --sgd-steps 50 --seed 42"),
+    # one feature: the input layer's one-column rows enter the backward pass
+    # as copies, under no hidden layer (both algorithms) and under hidden 4,1
+    ("gen1", "gen-data --m 300 --d 1 --seed 2 --out data1.csv --teacher-out teacher1.json"),
+    ("lin1", "train --data data1.csv --out-model lin1.json --metrics lin1.csv --hidden= --T 5 "
+             "--sgd-steps 100 --seed 42"),
+    ("linsgd1", "train --algo sgd --data data1.csv --out-model linsgd1.json --metrics linsgd1.csv "
+                "--hidden= --sgd-steps 300 --seed 42"),
+    ("one1", "train --data data1.csv --out-model one1.json --metrics one1.csv --hidden 4,1 --T 5 "
+             "--sgd-steps 200 --seed 42"),
 )
 
 EVALS = (
@@ -121,7 +130,8 @@ EVALS = (
     ("teacher130.json", "data130.csv"), ("wide130.json", "data130.csv"), ("teacher09.json", "data09.csv"),
     ("ens2.json", "data.csv"), ("lrzero.json", "lrzerodata.csv"), ("lin.json", "data.csv"),
     ("linsgd.json", "data.csv"), ("adalin.json", "data.csv"), ("batch1.json", "data.csv"),
-    ("bigbatch.json", "data.csv"),
+    ("bigbatch.json", "data.csv"), ("teacher1.json", "data1.csv"), ("lin1.json", "data1.csv"),
+    ("linsgd1.json", "data1.csv"), ("one1.json", "data1.csv"),
 )
 
 

@@ -23,7 +23,6 @@ from .nnet import (
     NetworkArchitecture,
     _backprop_core,
     _forward_cached,
-    _pad8,
     _train_workspace,
     forward_batch,
     init_network,
@@ -84,8 +83,9 @@ class RetryPolicy:
 @dataclass(frozen=True)
 class BoostConfig:
     """Knobs of the boosting run.  ``n`` is the working-set size; ``None``
-    means ``min(m, 256)``.  ``init_scale=0`` starts from the all-zero net,
-    for which the initial potential is exactly ``log m``."""
+    means ``min(m, 256)``.  ``init_scale=0`` starts from the zero function,
+    random hidden layers under an all-zero output layer (see
+    ``_initial_net``), for which the initial potential is exactly ``log m``."""
 
     rho: float = 0.1
     T: int = 50
@@ -178,11 +178,11 @@ def cache_from_scores(raw_scores: np.ndarray, labels: np.ndarray) -> MarginCache
     )
 
 
-def margins(net: FeedForwardNet, data: Dataset, threads: int = 1) -> MarginCache:
+def margins(net: FeedForwardNet, data: Dataset) -> MarginCache:
     """A net's scores on the dataset, from one forward sweep, as a cache.
     Non-finite scores raise :class:`NumericError`."""
     with np.errstate(all="ignore"):  # overflow surfaces in the check below
-        scores = forward_batch(net, data.features, threads)
+        scores = forward_batch(net, data.features)
     if not np.isfinite(scores).all():
         raise NumericError("network scores are non-finite")
     return cache_from_scores(scores, data.labels)
@@ -198,9 +198,9 @@ def surrogate_output_grad(labels: np.ndarray, snapshot: np.ndarray, candidate: n
 
 
 # Bytes of the rows that one chunk of SGD steps gathers at once: the picked
-# feature rows, unpadded and padded, and the loss's per-example entries.
-# Chunks of 16 to 32 reference steps (batch 32, 10 features) cost no peak
-# memory; chunks of 128 raised it by 3%.
+# feature rows and the loss's per-example entries.  Chunks of up to 224 KiB
+# cost the reference run (batch 32, 10 features) no peak memory; 896 KiB
+# raised it by 3%.
 _CHUNK_BYTES = 2**17
 
 
@@ -214,17 +214,17 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> No
     each vector in ``per_example``.  Non-finite scores or parameters raise
     :class:`NumericError`; a run that raises leaves the net as it was.
 
-    Each step runs ``nnet``'s training kernel on one workspace, whose
-    ``theta`` is copied into the net once, when the run succeeds.  Rows are
-    gathered and padded once per chunk of steps, and the chunk's scores
-    checked once; on a non-finite row the unused draws after its step go back
-    to ``rng``.  The scores are checked, not only ``theta``: the hinge's
-    gradient is 0 at +inf with label +1.
+    Each step runs ``nnet``'s training kernel on one workspace, which pads
+    the step's rows itself, and whose ``theta`` is copied into the net once,
+    when the run succeeds.  Rows are gathered once per chunk of steps, and
+    the chunk's scores checked once; on a non-finite row the unused draws
+    after its step go back to ``rng``.  The scores are checked, not only
+    ``theta``: the hinge's gradient is 0 at +inf with label +1.
     """
     work = _train_workspace(net, batch)
     theta, grad = work.theta, work.grad
     d = net.architecture.input_dim
-    chunk = max(1, _CHUNK_BYTES // (8 * batch * (2 * d + -d % 8 + len(per_example))))
+    chunk = max(1, _CHUNK_BYTES // (8 * batch * (d + len(per_example))))
     scores = np.empty((min(chunk, steps), batch, 1))
     picks = uniform_picks(rng, steps * batch, len(feats)).reshape(steps, batch)
     # overflow surfaces as NumericError via the explicit checks below, so
@@ -233,11 +233,10 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> No
         for c in range(0, steps, chunk):
             block = picks[c : c + chunk]
             xs = feats[block]
-            padded = _pad8(xs)
             picked = [v[block] for v in per_example]
             for j in range(len(block)):
-                _forward_cached(work, padded[j], scores[j])
-                _backprop_core(work, xs[j], upstream(scores[j, :, 0], *[v[j] for v in picked])[:, None])
+                _forward_cached(work, xs[j], scores[j])
+                _backprop_core(work, upstream(scores[j, :, 0], *[v[j] for v in picked])[:, None])
                 theta -= lr * grad
             finite = np.isfinite(scores[: len(block)]).all(axis=(1, 2))
             if not finite.all():

@@ -46,6 +46,7 @@ _EXIT_CODES = (
     (NoWeakLearnerError, EXIT_BREAK),
     ((OSError, SelfieBoostError), EXIT_IO),  # every other package error is bad input
     (ValueError, EXIT_USAGE),  # argument validation raised by library entry points
+    (MemoryError, EXIT_USAGE),  # a size whose arrays cannot be allocated
 )
 
 METRICS_HEADER = (
@@ -427,7 +428,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (OSError, ValueError, SelfieBoostError) as exc:
+    except (OSError, ValueError, SelfieBoostError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

@@ -11,8 +11,9 @@ output units leave the others as they were.  By the last two,
 on a stack of one), scores nets with one einsum per layer and gives each the
 bits it has alone.  The SGD loop, :func:`backprop_batch` and :func:`grad_check`
 run the one training kernel, :func:`_forward_cached` and :func:`_backprop_core`
-on a ``TrainWorkspace``.  Bit equality across CPU architectures or numpy
-builds is not claimed.
+on a ``TrainWorkspace``, which, like the scoring kernel's workspace, copies
+the rows it is given into a padded input buffer.  Bit equality across CPU
+architectures or numpy builds is not claimed.
 """
 
 from __future__ import annotations
@@ -132,16 +133,6 @@ def init_network(arch: NetworkArchitecture, seed: int, scale: float) -> FeedForw
         weights.append(w)
         biases.append(np.zeros(fan_out))
     return FeedForwardNet(architecture=arch, weights=weights, biases=biases)
-
-
-def _pad8(a: np.ndarray) -> np.ndarray:
-    """``a`` in C order with its last axis zero-padded to a multiple of 8."""
-    k = a.shape[-1]
-    if k % 8:
-        padded = np.zeros((*a.shape[:-1], k + -k % 8))
-        padded[..., :k] = a
-        return padded
-    return np.ascontiguousarray(a)
 
 
 def _check_batch(input_dim: int, x: np.ndarray) -> np.ndarray:
@@ -289,8 +280,9 @@ TrainWorkspace = namedtuple("TrainWorkspace", "theta grad params grads fwd bwd")
 
 def _train_workspace(net: FeedForwardNet, batch: int) -> TrainWorkspace:
     """A ``TrainWorkspace`` for ``batch``-row batches, ``theta`` set to
-    ``net``'s parameters.  The hidden activations go to the real columns of
-    buffers whose pad columns stay zero, as ``theta``'s and ``grad``'s do."""
+    ``net``'s parameters.  Each layer's input, the rows or the hidden
+    activations, goes to the real columns of a buffer whose pad columns stay
+    zero, as ``theta``'s and ``grad``'s do."""
     activate, derivative = _ACTIVATIONS[net.architecture.activation]
     dims = net.architecture.dims
     theta, weights, params = _flat_params(dims)
@@ -300,36 +292,38 @@ def _train_workspace(net: FeedForwardNet, batch: int) -> TrainWorkspace:
     wide = [np.empty((k, o)) if o > k else None for k, o in zip(dims, dims[1:])]
     # einsum picks its loop by the operands' strides, and a one-column view of
     # a padded array is strided along the axis that an unpadded one-column
-    # array holds contiguous: so the activations of a hidden layer one unit
-    # wide, and the weights that read them, enter the backward pass as copies
-    narrow = [i > 0 and k == 1 for i, k in enumerate(dims[:-1])]
+    # array holds contiguous: so a layer input one column wide (one feature, or
+    # a one-unit hidden layer), and the weights that read it, enter the
+    # backward pass as copies
+    narrow = [k == 1 for k in dims[:-1]]
     z = [np.empty((batch, o)) for o in dims[1:-1]]
-    hidden = [np.zeros((batch, h + -h % 8)) for h in dims[1:-1]]
-    acts = [buf[:, :h] for buf, h in zip(hidden, dims[1:-1])]
+    padded = [np.zeros((batch, k + -k % 8)) for k in dims[:-1]]
+    acts = [buf[:, :k] for buf, k in zip(padded, dims)]
     layers = len(weights)
-    return TrainWorkspace(theta, grad, params, grads, (weights, params[layers:], z, hidden, acts, activate),
+    return TrainWorkspace(theta, grad, params, grads, (weights, params[layers:], z, padded, acts, activate),
                           (acts, params[:layers], grads[:layers], grads[layers:], wide, narrow, derivative))
 
 
 def _forward_cached(work: TrainWorkspace, x: np.ndarray, out: np.ndarray) -> None:
-    """Scores into ``out``, shape ``(rows, 1)``, of the rows ``x``, zero-padded
-    like the first layer's weights; the hidden activations stay in ``work``
-    for :func:`_backprop_core`."""
-    weights, biases, z, hidden, acts, activate = work.fwd
+    """Scores into ``out``, shape ``(rows, 1)``, of the rows ``x``, copied into
+    the padded input of ``work``; the layer inputs stay in ``work`` for
+    :func:`_backprop_core`."""
+    weights, biases, z, padded, acts, activate = work.fwd
+    acts[0][...] = x
     last = len(z)
     for i, (w, b) in enumerate(zip(weights, biases)):
         o = out if i == last else z[i]
-        np.einsum("bk,ok->bo", x, w, out=o)
+        np.einsum("bk,ok->bo", padded[i], w, out=o)
         o += b
         if i < last:
-            activate(o, out=acts[i])
-            x = hidden[i]
+            activate(o, out=acts[i + 1])
 
 
-def _backprop_core(work: TrainWorkspace, x: np.ndarray, delta: np.ndarray) -> None:
+def _backprop_core(work: TrainWorkspace, delta: np.ndarray) -> None:
     """``work.grad`` of ``sum_i delta[i, 0] * score(x_i)`` after
-    :func:`_forward_cached` on the same rows, ``x`` unpadded.  Two departures
-    from one plain einsum per gradient and per ``delta`` keep their bits:
+    :func:`_forward_cached` on the rows ``x``, read as the real columns of
+    each layer's padded input.  Two departures from one plain einsum per
+    gradient and per ``delta`` keep their bits:
 
     - A layer with more outputs than inputs sums its weight gradient as
       ``"mo,mh->ho"`` into an ``(in, out)`` buffer, copied transposed, so
@@ -343,7 +337,7 @@ def _backprop_core(work: TrainWorkspace, x: np.ndarray, delta: np.ndarray) -> No
     acts, weights, grad_w, grad_b, wide, narrow, derivative = work.bwd
     last = len(weights) - 1
     for i in range(last, -1, -1):
-        a, w = (acts[i - 1], weights[i]) if i else (x, None)
+        a, w = acts[i], weights[i]
         if narrow[i]:
             a, w = a.copy(), w.copy()
         if wide[i] is None:
@@ -364,8 +358,8 @@ def backprop_batch(net: FeedForwardNet, x: np.ndarray, upstream: np.ndarray) -> 
     if upstream.shape != (x.shape[0],):
         raise ShapeError(f"upstream must have shape ({x.shape[0]},), got {upstream.shape}")
     work = _train_workspace(net, len(x))
-    _forward_cached(work, _pad8(x), np.empty((len(x), 1)))
-    _backprop_core(work, x, upstream[:, None])
+    _forward_cached(work, x, np.empty((len(x), 1)))
+    _backprop_core(work, upstream[:, None])
     layers = len(net.weights)
     return work.grads[:layers], work.grads[layers:]
 
@@ -421,22 +415,22 @@ def grad_check(net: FeedForwardNet, x: np.ndarray, eps: float) -> float:
     if not 0 < eps < math.inf:  # also rejects nan
         raise ValueError(f"eps must be a finite number > 0, got {eps}")
     xb = _check_batch(net.architecture.input_dim, np.asarray(x, dtype=np.float64)[None])  # or ShapeError
-    work, padded, score = _train_workspace(net, 1), _pad8(xb), np.empty((1, 1))
-    _forward_cached(work, padded, score)
-    _backprop_core(work, xb, np.ones((1, 1)))
-    acts = work.bwd[0]
+    work, score = _train_workspace(net, 1), np.empty((1, 1))
+    _forward_cached(work, xb, score)
+    _backprop_core(work, np.ones((1, 1)))
+    hidden = work.bwd[0][1:]
     is_relu = net.architecture.activation == "relu"
     worst = 0.0
     for p, grads in zip(work.params, work.grads):
         for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + eps
-            _forward_cached(work, padded, score)
-            plus, on = score[0, 0], [h > 0.0 for h in acts] if is_relu else ()
+            _forward_cached(work, xb, score)
+            plus, on = score[0, 0], [h > 0.0 for h in hidden] if is_relu else ()
             p[idx] = orig - eps
-            _forward_cached(work, padded, score)
+            _forward_cached(work, xb, score)
             p[idx] = orig
-            if any(np.any(o != (h > 0.0)) for o, h in zip(on, acts)):
+            if any(np.any(o != (h > 0.0)) for o, h in zip(on, hidden)):
                 continue
             numeric = (plus - score[0, 0]) / (2.0 * eps)
             a = float(grads[idx])

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfieboost import boost
@@ -289,6 +289,8 @@ class TestSgdLoop:
         return failed_at
 
     @settings(max_examples=150, deadline=None)
+    @example(d=1, hidden=[], activation="tanh", m=1, batch=5, steps=1, lr=0.05, init_scale=0.0,
+             loss="surrogate", chunk_bytes=1, seed=0)
     @given(
         d=st.integers(1, 20),
         hidden=st.lists(WIDTHS, max_size=3),
@@ -307,7 +309,9 @@ class TestSgdLoop:
     ):
         # batch 1, batches larger than the working set, depth 0 to 3, one-unit
         # and 8-multiple widths, an exactly zero output layer (init_scale 0),
-        # chunks of one step, of a few and of the default budget
+        # chunks of one step, of a few and of the default budget; the example
+        # is one feature into one output unit, whose one-column input must
+        # enter the backward pass as a copy
         rng = SplitMix64(seed)
         data = Dataset(rng.normal_block(m * d).reshape(m, d) * 2.0, np.where(rng.uniform_block(m) < 0.5, -1.0, 1.0))
         net = _initial_net(NetworkArchitecture(d, tuple(hidden), activation), seed, init_scale)
@@ -323,11 +327,11 @@ class TestSgdLoop:
         data, _ = gen_realizable(40, 5, NetworkArchitecture(5, (3,)), 0.1, 2)
         net = init_network(NetworkArchitecture(5, (9, 8), "relu"), seed, 1.0)
         snapshot = forward_batch(net, data.features)
-        with mock.patch.object(boost, "_CHUNK_BYTES", 4 * 4 * 8 * (5 + 8 + 2)):
+        with mock.patch.object(boost, "_CHUNK_BYTES", 4 * 4 * 8 * (5 + 2)):
             failed_at = self.run_both(net, data, np.arange(40), snapshot, loss, 60, lr, 4, 7)
         assert failed_at == failing_step
 
-    BLOW_UP_CHUNK_BYTES = 4 * 4 * 8 * (2 * 2 + 6 + 2)  # chunks of 4 steps of 4 two-feature rows
+    BLOW_UP_CHUNK_BYTES = 4 * 4 * 8 * (2 + 2)  # chunks of 4 steps of 4 two-feature rows
 
     @staticmethod
     def blow_up_data():

@@ -345,3 +345,20 @@ def test_sgd_growth_beyond_one_array_finds_no_candidate(tmp_path, capsys, steps,
     assert (code, err) == (EXIT_BREAK, "")
     assert "stop_reason=no_candidate_found" in out
     assert model.exists() and metrics.read_text() == METRICS_HEADER + "\n"
+
+
+# each request is larger than the 128 TiB user address space, so it fails at
+# allocation under any overcommit setting and touches no memory
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "d.csv", "--out-model", "m.json", "--metrics", "m.csv", "--sgd-steps", "1000000000000000"],
+    ["train", "--data", "d.csv", "--out-model", "m.json", "--metrics", "m.csv", "--n", "100000000000000000"],
+    ["gen-data", "--m", "1000000000000000", "--d", "10", "--seed", "1", "--out", "g.csv", "--teacher-out", "t.json"],
+], ids=["sgd-steps", "n", "gen-m"])
+def test_an_allocation_beyond_memory_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "d.csv").write_text(TINY_CSV)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "Unable to allocate" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]

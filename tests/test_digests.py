@@ -1,9 +1,9 @@
 """A tier-1 subset of ``scripts/check_digests.py``: the README run's
 ``gen-data``, ``train``, ``verify`` and ``eval``, the hinge SGD runs of the
-``ensemble`` workload and of ``--algo sgd``, and the runs whose SGD blows up,
-must write the bytes that ``scripts/digests.txt`` records for them.  The full
-script stays a step of every change; this catches a changed output bit
-without it."""
+``ensemble`` workload and of ``--algo sgd``, the runs whose SGD blows up, and
+the linear runs on one feature must write the bytes that
+``scripts/digests.txt`` records for them.  The full script stays a step of
+every change; this catches a changed output bit without it."""
 
 import hashlib
 import importlib.util
@@ -56,3 +56,9 @@ def test_the_sgd_blow_up_runs_write_the_committed_bytes(tmp_path, monkeypatch):
     assert_committed_bytes(
         tmp_path, monkeypatch, ("numgen", "num", "sgdnum", "adanum"), [("num.json", "numdata.csv")], 9,
     )
+
+
+def test_the_one_feature_runs_write_the_committed_bytes(tmp_path, monkeypatch):
+    # a linear net on one feature: the input layer's one-column rows enter
+    # the backward pass as copies, in SelfieBoost and in plain SGD
+    assert_committed_bytes(tmp_path, monkeypatch, ("gen1", "lin1", "linsgd1"), [], 9)

@@ -22,7 +22,6 @@ from selfieboost.nnet import (
     _ROWS,
     FeedForwardNet,
     _forward_cached,
-    _pad8,
     _train_workspace,
     NetworkArchitecture,
     backprop_batch,
@@ -252,11 +251,11 @@ def random_net(seed, k, hidden):
 
 
 def train_forward(net, x):
-    """The training kernel's forward pass on the rows ``x``, padded as the
-    SGD loop pads them: each hidden layer's activations, then the scores."""
+    """The training kernel's forward pass on the rows ``x``: each hidden
+    layer's activations, then the scores."""
     work, scores = _train_workspace(net, len(x)), np.empty((len(x), 1))
-    _forward_cached(work, _pad8(x), scores)
-    return [a.copy() for a in work.bwd[0]] + [scores[:, 0]]
+    _forward_cached(work, x, scores)
+    return [a.copy() for a in work.bwd[0][1:]] + [scores[:, 0]]
 
 
 def assert_same_layers(got, expected):
@@ -436,6 +435,12 @@ class TestGradCheck:
         net = init_network(NetworkArchitecture(6, hidden, "relu"), 9, 1.0)
         x = SplitMix64(13).normal_block(6)
         assert grad_check(net, x, 1e-4) <= 1e-6
+
+    # one feature: the input's one-column view enters the backward pass as a copy
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_one_feature_net(self, activation):
+        net = init_network(NetworkArchitecture(1, (4, 1), activation), 5, 1.0)
+        assert grad_check(net, np.array([0.75]), 1e-4) <= 1e-6
 
     def test_eps_must_be_positive(self):
         net = make_linear([1.0], 0.0)
