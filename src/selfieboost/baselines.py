@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BoostConfig, _initial_net, _sgd_loop, err
+from .boost import BoostConfig, _initial_net, _sgd_loop, _sized_by, err
 from .data import Dataset
 from .errors import ModelFormatError, ModelVersionError, NoWeakLearnerError, ShapeError
 from .nnet import (
@@ -75,11 +75,6 @@ class AdaBoostResult:
     rounds: tuple[AdaBoostRound, ...]
 
 
-def _vote(scores: np.ndarray) -> np.ndarray:
-    """Hard votes; a score of exactly 0 votes -1 (mistake convention)."""
-    return np.where(np.asarray(scores) > 0.0, 1.0, -1.0)
-
-
 def _hinge_steps(
     net: FeedForwardNet,
     data: Dataset,
@@ -137,10 +132,10 @@ def run_adaboost(data: Dataset, config: BoostConfig) -> AdaBoostResult:
 
     for t in range(config.T):
         table = build_alias(dist)
-        picked = sample_indices(table, n, rng)
+        picked = _sized_by("--n", sample_indices, table, n, rng)
         weak = _hinge_sgd(data.subset(picked), arch, sgd.steps, sgd.lr, sgd.batch,
                           derive_seed(config.seed, 100 + t))
-        votes = _vote(forward_batch(weak, data.features))
+        votes = np.where(forward_batch(weak, data.features) > 0.0, 1.0, -1.0)  # a score of 0 votes -1
         eps = chunked_sum(np.where(votes != data.labels, dist, 0.0))
         if eps >= 0.5:
             break  # chance or worse: discard and stop
@@ -176,11 +171,13 @@ def ensemble_predict_batch(model: EnsembleModel, features: np.ndarray) -> np.nda
 
     Each of the model's ``groups`` scores a row block with one
     :func:`forward_stacked` call over a workspace kept for the call, which
-    gives every member its ``forward_batch`` bits.  A row's ``alpha * vote``
-    terms, after a leading 0, are summed one by one in member order
-    (``add.accumulate`` is sequential, unlike ``sum``), so each total has the
-    bits of a per-member loop.  Blocks are sized so that no workspace buffer
-    and no block of terms exceeds ``_STACK_FLOATS`` floats unless one row does.
+    gives every member its ``forward_batch`` bits.  The ``alpha * vote`` terms
+    are member-major rows after a row of zeros, filled as ``±alpha`` (exactly
+    ``alpha * ±1.0``; a score of 0 votes -1), and each row's total is summed
+    one by one in member order (``add.accumulate`` down the member axis is
+    sequential, unlike ``sum``), so it has the bits of a per-member loop.
+    Blocks are sized so that no workspace buffer and no block of terms exceeds
+    ``_STACK_FLOATS`` floats unless one row does.
     """
     if not model.members:
         raise ValueError("empty ensemble")
@@ -188,15 +185,16 @@ def ensemble_predict_batch(model: EnsembleModel, features: np.ndarray) -> np.nda
         features = _check_batch(stack.input_dim, features)  # also when there are no rows
     alphas, width, m = np.array(model.alphas), len(model.members) + 1, features.shape[0]
     rows = max(1, _STACK_FLOATS // max(width, *(stack.row_floats for stack, _ in model.groups)))
-    work = [stack.workspace(min(rows, m)) for stack, _ in model.groups]
-    terms, totals = np.zeros((min(rows, m), width)), np.empty((min(rows, m), width))
+    groups = [(stack, positions + 1, alphas[positions], stack.workspace(min(rows, m)))
+              for stack, positions in model.groups]
+    terms, totals = np.zeros((width, min(rows, m))), np.empty((width, min(rows, m)))
     preds = np.empty(m)
     for k in range(0, m, rows):
         block = features[k : k + rows]
         n = block.shape[0]
-        for (stack, positions), buffers in zip(model.groups, work):
-            terms[:n, positions + 1] = alphas[positions] * _vote(forward_stacked(stack, block, buffers))
-        preds[k : k + n] = _vote_sum_sign(np.add.accumulate(terms[:n], axis=1, out=totals[:n])[:, -1])
+        for stack, members, alpha, buffers in groups:
+            terms[members, :n] = np.where(forward_stacked(stack, block, buffers) > 0.0, alpha, -alpha).T
+        preds[k : k + n] = _vote_sum_sign(np.add.accumulate(terms[:, :n], axis=0, out=totals[:, :n])[-1])
     return preds
 
 

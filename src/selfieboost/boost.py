@@ -204,6 +204,14 @@ def surrogate_output_grad(labels: np.ndarray, snapshot: np.ndarray, candidate: n
 _CHUNK_BYTES = 2**17
 
 
+def _sized_by(options: str, f, *args):
+    """``f(*args)``, where an array too large to exist keeps numpy's text and names ``options``."""
+    try:
+        return f(*args)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than one array can address
+        raise MemoryError(f"{options}: {exc}") from exc
+
+
 def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> None:
     """``steps`` minibatch SGD updates of ``net`` in place, on rows of ``feats``:
     the one loop behind SelfieBoost's candidates and the baselines.
@@ -221,12 +229,12 @@ def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> No
     after its step go back to ``rng``.  The scores are checked, not only
     ``theta``: the hinge's gradient is 0 at +inf with label +1.
     """
-    work = _train_workspace(net, batch)
+    work = _sized_by("--batch", _train_workspace, net, batch)
     theta, grad = work.theta, work.grad
     d = net.architecture.input_dim
     chunk = max(1, _CHUNK_BYTES // (8 * batch * (d + len(per_example))))
     scores = np.empty((min(chunk, steps), batch, 1))
-    picks = uniform_picks(rng, steps * batch, len(feats)).reshape(steps, batch)
+    picks = _sized_by("--sgd-steps", uniform_picks, rng, steps * batch, len(feats)).reshape(steps, batch)
     # overflow surfaces as NumericError via the explicit checks below, so
     # numpy's intermediate warnings carry no extra information here
     with np.errstate(all="ignore"):
@@ -390,7 +398,7 @@ def run_selfieboost(
                 break
             report = None  # free the rejected candidate's full-dataset cache before this sweep
             if not done_steps:
-                working_set = sample_indices(table, n, rng_sets)
+                working_set = _sized_by("--n", sample_indices, table, n, rng_sets)
                 candidate = widen(net, cur_widen, rng_widen.next_u64()) if cur_widen else net.copy()
             violation = True  # a numeric blow-up also warrants a smaller lr
             try:

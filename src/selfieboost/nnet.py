@@ -38,7 +38,7 @@ from .sampling import SplitMix64
 # the relu subgradient at exactly 0 is fixed to 0
 _ACTIVATIONS = {
     "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda a: np.where(a > 0.0, 1.0, 0.0)),
+    "relu": (lambda z, **kw: np.maximum(z, 0.0, **kw), lambda a: np.where(a > 0.0, 1.0, 0.0)),
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
 MODEL_FORMAT_VERSION = 1
@@ -237,9 +237,13 @@ def forward_stacked(stack: NetStack, x: np.ndarray, work=None) -> np.ndarray:
     ``work``, a :meth:`NetStack.workspace` of at least ``len(x)`` rows (new if
     None); each layer is one einsum into its pre-activation buffer, the bias
     added in place, and the activation written into the real columns of a
-    padded buffer whose pad columns stay zero.  Each member's contraction is
-    its own contiguous 8-padded run followed by whole groups of exact zeros,
-    so column ``j`` has the bits of net ``j`` alone.  Returns a view into ``work``.
+    padded buffer whose pad columns stay zero.  With under half its columns
+    real (widths 1 to 3), that write goes unit by unit, one strided pass each,
+    not through numpy's buffered iterator in runs of a few columns; wider
+    layers write row by row, in place when no column is padding.  Each
+    member's contraction is its own contiguous 8-padded run followed by whole
+    groups of exact zeros, so column ``j`` has the bits of net ``j`` alone.
+    Returns a view into ``work``.
     """
     x, rows = _check_batch(stack.input_dim, x), len(x)
     inputs, z, hidden = stack.workspace(rows) if work is None else work
@@ -251,7 +255,11 @@ def forward_stacked(stack: NetStack, x: np.ndarray, work=None) -> np.ndarray:
         np.einsum(spec, act, w, out=out)
         out += b
         if i < len(hidden):
-            activate(out, out=hidden[i][:rows, :, : w.shape[1]])
+            h, pad = w.shape[1], hidden[i].shape[2]
+            if 2 * h < pad:
+                activate(out.reshape(-1, h).T, out=hidden[i][:rows].reshape(-1, pad)[:, :h].T, order="C")
+            else:
+                activate(out, out=hidden[i][:rows, :, :h])
             act, spec = hidden[i][:rows], "bjk,jok->bjo"
     return out[:, :, 0]
 

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from selfieboost.baselines import (
     save_ensemble,
 )
 from selfieboost.boost import BoostConfig, SgdParams, _initial_net
-from selfieboost.data import Dataset, gen_realizable
+from selfieboost.cli import main
+from selfieboost.data import Dataset, gen_realizable, load_csv
 from selfieboost.errors import ModelVersionError, NoWeakLearnerError, ShapeError
 from selfieboost.nnet import (
     ACTIVATIONS,
@@ -30,6 +33,8 @@ from selfieboost.nnet import (
     stack_nets,
 )
 from selfieboost.sampling import SplitMix64, derive_seed
+
+import sgd_oracle
 
 
 def linear_net(weights, bias=0.0):
@@ -165,6 +170,28 @@ class TestStackedEnsemble:
             scores = forward_stacked(stack, x)
             for i, j in enumerate(positions):
                 assert scores[:, i].tobytes() == forward_batch(nets[j], x).tobytes()
+        assert ensemble_predict_batch(model, x).tobytes() == oracle_predict(model, x).tobytes()
+
+    def test_the_ensemble_workloads_model_votes_as_the_per_member_loop(self, tmp_path, monkeypatch):
+        # the check_digests commands behind the benchmark's ensemble workload;
+        # their eval log prints only err=0.0.  Every row's vote total is at
+        # least 6.07 from 0 and no alpha exceeds 2.995, so no single flipped
+        # vote moves a prediction: the members' scores are checked bit for bit
+        script = Path(__file__).resolve().parents[1] / "scripts" / "check_digests.py"
+        spec = importlib.util.spec_from_file_location("check_digests", script)
+        check_digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_digests)
+        commands = dict(check_digests.COMMANDS)
+        monkeypatch.chdir(tmp_path)
+        for name in ("gen8", "ada8"):
+            assert main(commands[name].split()) == 0
+        model, x = load_ensemble("ens8.json"), load_csv("data8.csv").features
+        assert len(model.members) == 50 and x.shape == (2000, 10)
+        assert {net.architecture.hidden_layers for net in model.members} == {(2,)}
+        (stack, positions), = model.groups
+        scores = forward_stacked(stack, x)
+        for i, j in enumerate(positions):
+            assert scores[:, i].tobytes() == sgd_oracle.scores(model.members[j], x).tobytes()
         assert ensemble_predict_batch(model, x).tobytes() == oracle_predict(model, x).tobytes()
 
     def test_votes_are_summed_one_by_one_in_member_order(self):

@@ -348,17 +348,24 @@ def test_sgd_growth_beyond_one_array_finds_no_candidate(tmp_path, capsys, steps,
 
 
 # each request is larger than the 128 TiB user address space, so it fails at
-# allocation under any overcommit setting and touches no memory
-@pytest.mark.parametrize("argv", [
-    ["train", "--data", "d.csv", "--out-model", "m.json", "--metrics", "m.csv", "--sgd-steps", "1000000000000000"],
-    ["train", "--data", "d.csv", "--out-model", "m.json", "--metrics", "m.csv", "--n", "100000000000000000"],
-    ["gen-data", "--m", "1000000000000000", "--d", "10", "--seed", "1", "--out", "g.csv", "--teacher-out", "t.json"],
-], ids=["sgd-steps", "n", "gen-m"])
-def test_an_allocation_beyond_memory_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+# allocation under any overcommit setting and touches no memory; the last two
+# are more bytes than one numpy array can address
+TRAIN = ["train", "--data", "d.csv", "--out-model", "m.json", "--metrics", "m.csv"]
+
+
+@pytest.mark.parametrize("argv, named, text", [
+    (TRAIN + ["--sgd-steps", "1000000000000000"], "--sgd-steps", "Unable to allocate"),
+    (TRAIN + ["--n", "100000000000000000"], "--n", "Unable to allocate"),
+    (["gen-data", "--m", "1000000000000000", "--d", "10", "--seed", "1", "--out", "g.csv", "--teacher-out", "t.json"],
+     "", "Unable to allocate"),
+    (TRAIN + ["--sgd-steps", "300000000000000000"], "--sgd-steps", "Maximum allowed size exceeded"),
+    (TRAIN + ["--batch", "100000000000000000"], "--batch", "array is too big"),
+], ids=["sgd-steps", "n", "gen-m", "sgd-steps-size", "batch"])
+def test_an_allocation_beyond_memory_is_usage_error(tmp_path, capsys, monkeypatch, argv, named, text):
     (tmp_path / "d.csv").write_text(TINY_CSV)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert_one_error_line(err)
-    assert "Unable to allocate" in err
+    assert err.startswith(f"error: {named}: " if named else "error: ") and text in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]

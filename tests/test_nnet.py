@@ -192,9 +192,10 @@ class TestForwardBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # per thread, also numpy's buffer for the activation written into the
-        # strided real columns of a padded buffer; 32 KiB for the interpreter's
-        # own objects: frames, the pool, its futures
+        # per thread, also numpy's buffer for the hidden-9 activation, which is
+        # written row by row into the strided real columns of a padded buffer
+        # (widths 1 to 3 write unit by unit, multiples of 8 in place); 32 KiB
+        # for the interpreter's own objects: frames, the pool, its futures
         bound = 8 * (m + weights + threads * (workspace + np.getbufsize())) + 2**15
         assert peak <= bound, f"peak {peak / 2**10:.0f} KiB over {bound / 2**10:.0f} KiB"
 
@@ -337,7 +338,9 @@ class TestStackedForward:
     @given(
         d=st.integers(1, 20),
         depth=st.integers(0, 2),
-        widths=st.lists(st.lists(st.sampled_from([1, 8, 9, 17]), min_size=2, max_size=2), min_size=1, max_size=3),
+        # widths 1 to 3 take forward_stacked's unit-by-unit activation write
+        widths=st.lists(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 17]), min_size=2, max_size=2),
+                        min_size=1, max_size=3),
         activation=st.sampled_from(["tanh", "relu"]),
         rows=st.sampled_from([0, 1, 5, _ROWS + 3]),
         layout=st.sampled_from(["C", "F", "strided"]),
@@ -363,6 +366,26 @@ class TestStackedForward:
             assert_same_bits(forward_batch(net, x, threads), expected)
             for r in sorted({0, rows // 2, rows - 1}) if rows else ():
                 assert_same_bits(np.array([forward(net, x[r])]), expected[r : r + 1])
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("widths", [[(2, 3), (1, 2)], [(3, 5), (2, 9)], [(6, 16), (4, 1)]])
+    def test_a_shorter_block_on_a_used_workspace_leaves_the_pad_columns_zero(self, widths, activation):
+        # the next layer's einsum reads the pad columns as exact zeros; the
+        # widths take the unit-by-unit, the row-by-row and the in-place write
+        nets = [random_net(3 * j, 6, hidden) for j, hidden in enumerate(widths)]
+        nets = [FeedForwardNet(NetworkArchitecture(6, net.architecture.hidden_layers, activation),
+                               net.weights, net.biases) for net in nets]
+        (stack, positions), = stack_nets(nets)
+        work = stack.workspace(40)
+        for rows, seed in ((40, 1), (7, 2)):
+            x = normals(seed, rows, 6)
+            stacked = forward_stacked(stack, x, work)
+            for j, net in enumerate(nets):
+                assert_same_bits(stacked[:, positions[j]], sgd_oracle.scores(net, x))
+        _, _, hidden = work
+        for w, buf in zip(stack.weights, hidden):
+            pad = buf[:, :, w.shape[1] :]
+            assert pad.tobytes() == bytes(pad.nbytes)
 
     def test_groups_share_input_width_depth_and_activation(self):
         archs = [(4, (3,), "tanh"), (5, (3,), "tanh"), (4, (3, 3), "tanh"), (4, (3,), "relu"),
