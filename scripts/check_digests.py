@@ -98,6 +98,9 @@ COMMANDS = (
     # fewer picks than the largest intp, but more bytes than one array can hold: exit 4
     ("growbig16", "train --data data.csv --out-model growbig16.json --metrics growbig16.csv --T 1 "
                   "--sgd-steps 2 --max-retries 1 --sgd-growth 5e16 --seed 42"),
+    # a budget that does not grow: the retry draws a fresh working set at the same steps
+    ("growone", "train --data data.csv --out-model growone.json --metrics growone.csv "
+                "--hidden 16 --T 6 --sgd-steps 860 --sgd-growth 1 --seed 42"),
     ("verifyrho", "verify --metrics metrics.csv --m 2000 --rho -1"),
     # the SGD loop's corner shapes: no hidden layer (argparse reads --hidden= as
     # no widths) under all three algorithms, one-row batches, and batches

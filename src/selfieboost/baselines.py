@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BoostConfig, _initial_net, _sgd_loop, _sized_by, err
+from .boost import BoostConfig, _initial_net, _sgd_loop, err
 from .data import Dataset
-from .errors import ModelFormatError, ModelVersionError, NoWeakLearnerError, ShapeError
+from .errors import ModelFormatError, ModelVersionError, NoWeakLearnerError, ShapeError, _sized_by
 from .nnet import (
     FeedForwardNet,
     NetworkArchitecture,

@@ -13,11 +13,12 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, EmptyDatasetError, NumericError, ShapeError
+from .errors import ConfigError, EmptyDatasetError, NumericError, ShapeError, _sized_by
 from .nnet import (
     FeedForwardNet,
     NetworkArchitecture,
@@ -204,14 +205,6 @@ def surrogate_output_grad(labels: np.ndarray, snapshot: np.ndarray, candidate: n
 _CHUNK_BYTES = 2**17
 
 
-def _sized_by(options: str, f, *args):
-    """``f(*args)``, where an array too large to exist keeps numpy's text and names ``options``."""
-    try:
-        return f(*args)
-    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than one array can address
-        raise MemoryError(f"{options}: {exc}") from exc
-
-
 def _sgd_loop(net, feats, steps, lr, batch, rng, upstream, per_example=()) -> None:
     """``steps`` minibatch SGD updates of ``net`` in place, on rows of ``feats``:
     the one loop behind SelfieBoost's candidates and the baselines.
@@ -344,6 +337,41 @@ def _initial_net(arch: NetworkArchitecture, seed: int, init_scale: float) -> Fee
     return net
 
 
+class Attempt(NamedTuple):
+    """One try at a candidate; ``done``: its steps on a kept working set, 0 for a fresh draw."""
+
+    number: int
+    steps: int
+    lr: float
+    widen: int
+    done: int
+
+
+def _next_attempt(config: BoostConfig, attempt: Attempt, outcome: str) -> Attempt | None:
+    """The retry after ``attempt``'s candidate was rejected for ``outcome``:
+    ``"shallow"`` edge, ``"clip"`` violation or ``"numeric"`` blow-up.
+
+    Every retry grows the budget to ``ceil(steps * sgd_growth)`` and widens by
+    ``widen_units``; a clip or numeric outcome also shrinks lr by ``lr_shrink``.
+    A shallow rejection keeps its working set and runs just the steps the grown
+    budget adds, which gives bit for bit the candidate of one grown run on that
+    set; every other retry (a smaller lr, widening, or a budget that does not
+    grow) draws a fresh working set and starts again from the current net.
+    None when retries are exhausted, the grown budget's ``steps * batch``
+    8-byte picks overflow what one array can hold, or lr underflows to 0.
+    """
+    retry = config.retry
+    grown = attempt.steps * retry.sgd_growth
+    if attempt.number == retry.max_retries or not grown * config.sgd.batch * 8 <= np.iinfo(np.intp).max:
+        return None
+    lr = attempt.lr if outcome == "shallow" else attempt.lr * retry.lr_shrink
+    if lr == 0.0:  # no attempt at lr 0 can move the net
+        return None
+    steps = int(np.ceil(grown))
+    done = attempt.steps if outcome == "shallow" and not retry.widen_units and steps > attempt.steps else 0
+    return Attempt(attempt.number + 1, steps, lr, attempt.widen + retry.widen_units, done)
+
+
 def run_selfieboost(
     data: Dataset,
     config: BoostConfig,
@@ -353,17 +381,9 @@ def run_selfieboost(
     """Run the boosting loop for up to ``config.T`` accepted iterations.
 
     Per iteration: cache margins, resample a working set, warm-start a
-    candidate from the current net, optimize the surrogate, and test the
-    edge on the full dataset.  Rejected candidates escalate per the retry
-    policy: more SGD steps, optional widening, and a smaller learning rate
-    after a clip violation or a numeric blow-up.  A candidate rejected only
-    for a shallow edge keeps its working set and runs just the steps the grown
-    budget adds, which gives bit for bit the candidate of one grown run on that
-    set; every other retry (a smaller lr, widening, or a budget that does not
-    grow) draws a fresh working set and starts again from the current net.
-    When retries are exhausted, the shrunk learning rate underflows to 0, or
-    the grown budget's ``steps * batch`` 8-byte picks overflow what one array
-    can hold, the run stops with ``no_candidate_found``.  Stops early with
+    candidate from the current net, optimize the surrogate, test the edge on
+    the full dataset, and retry a rejection as :func:`_next_attempt` says.
+    Stops with ``no_candidate_found`` when it schedules no retry, and with
     ``zero_training_error`` once the current net makes no mistakes.
 
     With ``measure_time=False`` (the default) ``wall_ms`` is recorded as 0.0
@@ -388,49 +408,32 @@ def run_selfieboost(
             break
         started = time.perf_counter()
         table = build_alias(cache.probs)
-        cur_steps = config.sgd.steps
-        cur_lr = config.sgd.lr
-        cur_widen = 0
-        done_steps = 0  # SGD steps the candidate already has on its working set
-        accepted = False
-        for attempt in range(config.retry.max_retries + 1):
-            if cur_lr == 0.0:  # shrunk to underflow: no attempt at lr 0 can move the net
-                break
+        attempt = Attempt(0, config.sgd.steps, config.sgd.lr, 0, 0)
+        while attempt is not None:
             report = None  # free the rejected candidate's full-dataset cache before this sweep
-            if not done_steps:
+            if not attempt.done:
                 working_set = _sized_by("--n", sample_indices, table, n, rng_sets)
-                candidate = widen(net, cur_widen, rng_widen.next_u64()) if cur_widen else net.copy()
-            violation = True  # a numeric blow-up also warrants a smaller lr
+                candidate = widen(net, attempt.widen, rng_widen.next_u64()) if attempt.widen else net.copy()
             try:
                 sgd_inner(
                     data,
                     working_set,
                     cache.raw_scores,
                     candidate,
-                    SgdParams(cur_steps - done_steps, cur_lr, config.sgd.batch),
+                    SgdParams(attempt.steps - attempt.done, attempt.lr, config.sgd.batch),
                     rng_sgd,
                 )
                 report = edge(cache, forward_batch(candidate, data.features, threads), config.rho)
             except NumericError:
-                if attempt == config.retry.max_retries:
+                if attempt.number == config.retry.max_retries:
                     raise
+                outcome = "numeric"
             else:
-                accepted = report.accepted
-                if accepted:
+                if report.accepted:
                     break
-                violation = report.violation_count > 0
-            if not cur_steps * config.retry.sgd_growth * config.sgd.batch * 8 <= np.iinfo(np.intp).max:
-                break  # the grown budget's 8-byte picks are inf or more than one array can hold
-            grown = int(np.ceil(cur_steps * config.retry.sgd_growth))
-            # a shallow rejection keeps its working set, lr and width, so the
-            # added steps alone give the candidate one grown run would give
-            resume = not violation and not config.retry.widen_units and grown > cur_steps
-            done_steps = cur_steps if resume else 0
-            cur_steps = grown
-            if violation:
-                cur_lr *= config.retry.lr_shrink
-            cur_widen += config.retry.widen_units
-        if not accepted:
+                outcome = "clip" if report.violation_count else "shallow"
+            attempt = _next_attempt(config, attempt, outcome)
+        if attempt is None:
             stop_reason = STOP_NO_CANDIDATE
             break
         net = candidate
@@ -443,8 +446,8 @@ def run_selfieboost(
                 potential_after=report.candidate.potential,
                 train_err=report.candidate.mistakes / data.m,
                 mistakes=report.candidate.mistakes,
-                retries_used=attempt,
-                sgd_steps_used=cur_steps,
+                retries_used=attempt.number,
+                sgd_steps_used=attempt.steps,
                 widened_to=net.architecture.hidden_layers[-1] if net.architecture.hidden_layers else 0,
                 wall_ms=elapsed_ms,
             )

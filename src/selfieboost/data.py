@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DatasetParseError, DegenerateTeacherError, EmptyDatasetError
+from .errors import DatasetParseError, DegenerateTeacherError, EmptyDatasetError, _sized_by
 from .nnet import FeedForwardNet, NetworkArchitecture, forward_batch, init_network
 from .nnet import forward  # noqa: F401 -- unused; perfbench's boundary table names data.forward
 from .sampling import SplitMix64, derive_seed
@@ -95,10 +95,10 @@ def realize(
     """Rejection-sample ``m`` points for :func:`gen_realizable` (arguments
     already validated) and rescale the teacher's output layer by ``1/tau``."""
     d = teacher_arch.input_dim
-    teacher = init_network(teacher_arch, derive_seed(seed, 0), 1.0)
+    teacher = _sized_by("--d, --teacher-hidden", init_network, teacher_arch, derive_seed(seed, 0), 1.0)
     rng = SplitMix64(derive_seed(seed, 1))
 
-    features = np.empty((m, d))
+    features = _sized_by("--m, --d", np.empty, (m, d))
     labels = np.empty(m)
     filled = attempts = 0
     cap = 100 * m

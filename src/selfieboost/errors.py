@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the allocation wrapper ``_sized_by``."""
 
 
 class SelfieBoostError(Exception):
@@ -51,3 +51,11 @@ class ConfigError(SelfieBoostError, ValueError):
 
 class ValidationError(SelfieBoostError, ValueError):
     """A record structure failed consistency validation."""
+
+
+def _sized_by(options: str, f, *args):
+    """``f(*args)``, where an array too large to exist keeps numpy's text and names ``options``."""
+    try:
+        return f(*args)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than one array can address
+        raise MemoryError(f"{options}: {exc}") from exc

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from selfieboost import boost
 from selfieboost.baselines import _hinge_steps
 from selfieboost.boost import (
+    Attempt,
     BoostConfig,
     RetryPolicy,
     SgdParams,
@@ -17,6 +18,7 @@ from selfieboost.boost import (
     STOP_NO_CANDIDATE,
     STOP_ZERO_ERROR,
     _initial_net,
+    _next_attempt,
     _sgd_loop,
     cache_from_scores,
     edge,
@@ -484,6 +486,49 @@ class TestBoostConfig:
             RetryPolicy(lr_shrink=0.0)
         with pytest.raises(ConfigError):
             BoostConfig(hidden=(0,))
+
+
+START = Attempt(number=0, steps=100, lr=0.05, widen=0, done=0)
+RESUMED = Attempt(number=1, steps=200, lr=0.05, widen=0, done=100)
+AT_LR_04 = START._replace(lr=0.4)
+TWO_STEPS = START._replace(steps=2)
+
+
+class TestNextAttempt:
+    """The retry schedule alone, with no training: each row is the policy, the
+    rejected attempt, why it was rejected, and the attempt that comes next."""
+
+    @pytest.mark.parametrize("retry, attempt, outcome, expected", [
+        (RetryPolicy(), START, "shallow", Attempt(1, 200, 0.05, 0, 100)),
+        (RetryPolicy(), RESUMED, "shallow", Attempt(2, 400, 0.05, 0, 200)),
+        (RetryPolicy(sgd_growth=1.5), START._replace(steps=3), "shallow", Attempt(1, 5, 0.05, 0, 3)),
+        (RetryPolicy(sgd_growth=1), START, "shallow", Attempt(1, 100, 0.05, 0, 0)),
+        (RetryPolicy(), START._replace(steps=0), "shallow", Attempt(1, 0, 0.05, 0, 0)),
+        (RetryPolicy(), START, "clip", Attempt(1, 200, 0.025, 0, 0)),
+        (RetryPolicy(), START, "numeric", Attempt(1, 200, 0.025, 0, 0)),
+        (RetryPolicy(), RESUMED, "clip", Attempt(2, 400, 0.025, 0, 0)),
+        (RetryPolicy(), RESUMED, "numeric", Attempt(2, 400, 0.025, 0, 0)),
+        (RetryPolicy(widen_units=4), START, "shallow", Attempt(1, 200, 0.05, 4, 0)),
+        (RetryPolicy(widen_units=4), Attempt(1, 200, 0.05, 4, 0), "clip", Attempt(2, 400, 0.025, 8, 0)),
+        (RetryPolicy(lr_shrink=5e-324), AT_LR_04, "clip", None),
+        (RetryPolicy(lr_shrink=5e-324), AT_LR_04, "numeric", None),
+        (RetryPolicy(lr_shrink=5e-324), AT_LR_04, "shallow", Attempt(1, 200, 0.4, 0, 100)),
+        (RetryPolicy(sgd_growth=1e308), TWO_STEPS, "shallow", None),
+        (RetryPolicy(sgd_growth=5e16), TWO_STEPS, "shallow", None),
+        (RetryPolicy(sgd_growth=1e15), TWO_STEPS, "shallow", Attempt(1, 2 * 10**15, 0.05, 0, 2)),
+        (RetryPolicy(max_retries=2), START._replace(number=2), "shallow", None),
+        (RetryPolicy(max_retries=2), START._replace(number=1), "shallow", Attempt(2, 200, 0.05, 0, 100)),
+        (RetryPolicy(max_retries=0), START, "clip", None),
+    ], ids=[
+        "shallow-resumes", "shallow-resumes-again", "steps-round-up", "growth-1-draws-fresh",
+        "0-steps-draws-fresh", "clip-shrinks-lr", "numeric-shrinks-lr", "clip-after-resume",
+        "numeric-after-resume", "widen-draws-fresh", "widen-adds-up", "lr-underflow-clip",
+        "lr-underflow-numeric", "shallow-keeps-lr", "picks-inf", "picks-too-many-bytes",
+        "picks-fit", "max-retries", "below-max-retries", "no-retries",
+    ])
+    def test_transition(self, retry, attempt, outcome, expected):
+        config = BoostConfig(sgd=SgdParams(batch=32), retry=retry)
+        assert _next_attempt(config, attempt, outcome) == expected
 
 
 class TestRunSelfieboost:

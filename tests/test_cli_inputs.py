@@ -357,15 +357,17 @@ TRAIN = ["train", "--data", "d.csv", "--out-model", "m.json", "--metrics", "m.cs
     (TRAIN + ["--sgd-steps", "1000000000000000"], "--sgd-steps", "Unable to allocate"),
     (TRAIN + ["--n", "100000000000000000"], "--n", "Unable to allocate"),
     (["gen-data", "--m", "1000000000000000", "--d", "10", "--seed", "1", "--out", "g.csv", "--teacher-out", "t.json"],
-     "", "Unable to allocate"),
+     "--m, --d", "Unable to allocate"),
+    (["gen-data", "--m", "10", "--d", "100000000000000", "--seed", "1", "--out", "g.csv", "--teacher-out", "t.json"],
+     "--d, --teacher-hidden", "Unable to allocate"),
     (TRAIN + ["--sgd-steps", "300000000000000000"], "--sgd-steps", "Maximum allowed size exceeded"),
     (TRAIN + ["--batch", "100000000000000000"], "--batch", "array is too big"),
-], ids=["sgd-steps", "n", "gen-m", "sgd-steps-size", "batch"])
+], ids=["sgd-steps", "n", "gen-m", "gen-d", "sgd-steps-size", "batch"])
 def test_an_allocation_beyond_memory_is_usage_error(tmp_path, capsys, monkeypatch, argv, named, text):
     (tmp_path / "d.csv").write_text(TINY_CSV)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert_one_error_line(err)
-    assert err.startswith(f"error: {named}: " if named else "error: ") and text in err
+    assert err.startswith(f"error: {named}: ") and text in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
