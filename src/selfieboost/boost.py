@@ -298,12 +298,9 @@ def edge(cache: MarginCache, candidate_scores: np.ndarray, rho: float = 0.1) -> 
     ``cache.potential - rho``: the edge bounds the potential's change only
     where no margin drops.  Non-finite scores raise :class:`NumericError`.
     """
-    candidate_scores = np.asarray(candidate_scores, dtype=np.float64)
-    if candidate_scores.shape != cache.raw_scores.shape:
-        raise ShapeError("candidate scores length must match the cache")
     candidate = cache_from_scores(candidate_scores, cache.labels)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: edge inf or nan, rejected
-        d = cache.labels * (candidate_scores - cache.raw_scores)
+        d = cache.labels * (candidate.raw_scores - cache.raw_scores)
         terms = cache.probs * (-d + 0.5 * d * d)
     value = chunked_sum(terms)
     max_diff = float(np.max(d))
@@ -389,8 +386,6 @@ def run_selfieboost(
     With ``measure_time=False`` (the default) ``wall_ms`` is recorded as 0.0
     so that identical runs produce bit-identical records.
     """
-    if data.m < 1:
-        raise EmptyDatasetError("cannot boost an empty dataset")
     arch = NetworkArchitecture(data.d, config.hidden, config.activation)
     net = _initial_net(arch, derive_seed(config.seed, 0), config.init_scale)
     rng_sets = SplitMix64(derive_seed(config.seed, 1))

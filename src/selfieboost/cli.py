@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import time
 from dataclasses import astuple, dataclass, fields
@@ -143,15 +142,7 @@ def _has_type(value, kind, nullable: bool = False) -> bool:
 
 def load_config_file(path: str) -> dict:
     """Parse a config JSON document, rejecting any unknown key or wrongly typed value."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
+    obj = read_json(path, ConfigError)
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     _reject_unknown(obj, _KEYS[None], "config")
@@ -344,7 +335,7 @@ def cmd_compare(args) -> int:
     dataset = data_mod.load_csv(cfg.data_path)
 
     t0 = time.perf_counter()
-    sb = boost.run_selfieboost(dataset, cfg.boost, threads=cfg.threads, measure_time=args.wall_clock)
+    sb = boost.run_selfieboost(dataset, cfg.boost, threads=cfg.threads)
     sb_ms = (time.perf_counter() - t0) * 1000.0 if args.wall_clock else 0.0
     sb_err = sb.final_mistakes / dataset.m
 

@@ -78,8 +78,6 @@ def gen_realizable(
     redrawn (total attempt cap ``100 * m``); the teacher's output layer is
     then rescaled by ``1/tau`` so every margin is at least 1.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
     if not 0 < tau <= sys.float_info.max:  # also rejects nan and inf
         raise ValueError(f"tau must be a finite number > 0, got {tau}")
     if teacher_arch.input_dim != d:

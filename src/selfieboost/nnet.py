@@ -527,19 +527,19 @@ def write_json(obj, path) -> None:
         fh.write(json.dumps(obj) + "\n")
 
 
-def read_json(path):
-    """Parse a model or ensemble file; malformed JSON raises :class:`ModelFormatError`."""
+def read_json(path, error=ModelFormatError):
+    """Parse a model, ensemble or config file; bad UTF-8 or JSON raises ``error`` naming ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"{path}: {exc}") from exc
+            raise error(f"{path}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ModelFormatError(
-                f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            raise error(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
         except RecursionError as exc:
-            raise ModelFormatError("JSON nested too deeply to parse") from exc
+            raise error(f"{path}: JSON nested too deeply to parse") from exc
 
 
 def load_model(path) -> FeedForwardNet:

@@ -29,7 +29,7 @@ from selfieboost.boost import (
     surrogate_output_grad,
 )
 from selfieboost.data import Dataset, gen_realizable
-from selfieboost.errors import ConfigError, NumericError
+from selfieboost.errors import ConfigError, EmptyDatasetError, NumericError, ShapeError
 from selfieboost.nnet import NetworkArchitecture, forward, forward_batch, init_network
 from selfieboost.sampling import SplitMix64, uniform_picks
 
@@ -239,6 +239,13 @@ class TestSgdInner:
         for a, b in zip(continued.weights + continued.biases, longer.weights + longer.biases):
             assert a.tobytes() == b.tobytes()
         assert rng.next_u64() == fresh.next_u64()
+
+    def test_empty_working_set_raises_before_any_pick(self, small_data):
+        dataset, _ = small_data
+        net = init_network(NetworkArchitecture(5, (4,)), 2, 1.0)
+        snapshot = forward_batch(net, dataset.features)
+        with pytest.raises(EmptyDatasetError, match="working set is empty"):
+            sgd_inner(dataset, np.arange(0), snapshot, net.copy(), SgdParams(10, 0.1, 4), SplitMix64(0))
 
     def test_non_finite_bias_raises(self):
         # the output bias overflows to inf while every weight and score stays finite
@@ -455,6 +462,13 @@ class TestEdge:
         cache = cache_from_scores(np.zeros(2), np.array([1.0, -1.0]))
         with pytest.raises(NumericError):
             edge(cache, np.array([0.5, np.inf]), rho=0.1)
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_candidate_of_another_length_raises(self, length):
+        # a length-1 candidate would broadcast against the cache without the check
+        cache = cache_from_scores(np.zeros(3), np.array([1.0, 1.0, -1.0]))
+        with pytest.raises(ShapeError):
+            edge(cache, np.zeros(length), rho=0.1)
 
     def test_violation_count(self):
         cache = cache_from_scores(np.zeros(3), np.array([1.0, 1.0, -1.0]))

@@ -42,11 +42,19 @@ MODEL = '{"format_version":%s,"activation":"tanh","dims":[2,1],"layers":[{"w":[[
     MODEL.replace('"dims":[2,1]', '"dims":[2,true]') % (1, 1.0),
     '{"format_version":1,"alphas":[1.0],"members":[' + MODEL % (1, '"1.5"') + "]}",
     MODEL.replace('"b":[0.0]', '"b":' + "[" * 900 + "0.0" + "]" * 900) % (1, 1.0),
+    "[1]",
+    MODEL.replace('"tanh"', '"sigmoid"') % (1, 1.0),
+    MODEL.replace('"dims":[2,1]', '"dims":[2,3,1]') % (1, 1.0),
+    '{"format_version":1,"activation":"tanh","dims":[2,1],"layers":[5]}',
+    '{"format_version":1,"alphas":[1.0,2.0],' + ONE_MEMBER + "}",
+    '{"format_version":1,"alphas":[1.0,2.0],"members":[' + MODEL % (1, 1.0) + ","
+    + MODEL.replace('"dims":[2,1]', '"dims":[3,1]').replace("0.0]]", "0.0,0.0]]") % (1, 1.0) + "]}",
 ], ids=[
     "empty", "null", "string", "bool", "nan",
     "member-overflow", "model-overflow", "ensemble-version-bool", "model-version-bool",
     "model-string-weight", "model-bool-bias", "model-bool-dims", "member-string-weight",
-    "model-deep-bias",
+    "model-deep-bias", "model-list", "model-activation", "model-layer-count",
+    "model-layer-not-object", "ensemble-alpha-count", "ensemble-input-widths",
 ])
 def test_empty_ensemble_is_malformed_input(tmp_path, capsys, doc):
     (tmp_path / "d.csv").write_text(TINY_CSV)
@@ -59,12 +67,16 @@ def test_empty_ensemble_is_malformed_input(tmp_path, capsys, doc):
 DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON parser's recursion limit
 
 
-@pytest.mark.parametrize("kind, doc, code", [
-    ("model", MODEL.replace('"b":[0.0]', '"b":' + DEEP) % (1, 1.0), EXIT_IO),
-    ("ensemble", '{"format_version":1,"alphas":[1.0],"members":' + DEEP + "}", EXIT_IO),
-    ("config", '{"hidden":' + DEEP + "}", EXIT_USAGE),
-], ids=["model", "ensemble", "config"])
-def test_too_deeply_nested_json_is_malformed_input(tmp_path, capsys, kind, doc, code):
+@pytest.mark.parametrize("kind, doc, code, text", [
+    ("model", MODEL.replace('"b":[0.0]', '"b":' + DEEP) % (1, 1.0), EXIT_IO, "JSON nested too deeply"),
+    ("ensemble", '{"format_version":1,"alphas":[1.0],"members":' + DEEP + "}", EXIT_IO, "JSON nested too deeply"),
+    ("config", '{"hidden":' + DEEP + "}", EXIT_USAGE, "JSON nested too deeply"),
+    ("model", (MODEL % (1, 1.0))[:40], EXIT_IO, "invalid JSON at line 1 column "),
+    ("ensemble", '{"format_version":1,"alphas":[1.0],' + ONE_MEMBER[:30], EXIT_IO, "invalid JSON at line 1 column "),
+    ("config", '{"T": 1,\n "hidden": [4', EXIT_USAGE, "invalid JSON at line 2 column "),
+], ids=["model", "ensemble", "config", "model-cut-off", "ensemble-cut-off", "config-cut-off"])
+def test_too_deeply_nested_json_is_malformed_input(tmp_path, capsys, kind, doc, code, text):
+    # the error line names the file, whichever kind it is
     (tmp_path / "d.csv").write_text(TINY_CSV)
     (tmp_path / "doc.json").write_text(doc)
     if kind == "config":
@@ -72,7 +84,9 @@ def test_too_deeply_nested_json_is_malformed_input(tmp_path, capsys, kind, doc, 
     else:
         argv = ["eval", "--model", str(tmp_path / "doc.json"), "--data", str(tmp_path / "d.csv")]
     assert main(argv) == code
-    assert_one_error_line(capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith(f"error: {tmp_path / 'doc.json'}: {text}")
 
 
 @pytest.mark.parametrize("kind", ["train-data", "eval-data", "model", "ensemble", "config"])
@@ -154,10 +168,12 @@ def test_bad_row_after_blank_line_names_its_line(tmp_path, capsys, text, line):
     {"sgd": {"lr": math.nan}},  # json writes and reads NaN and Infinity
     {"retry": {"sgd_growth": math.inf}},
     {"init_scale": math.inf},
+    {"sgd": 5},
+    {"algo": "foo"},
 ], ids=[
     "threads-string", "hidden-string", "hidden-float", "seed-float", "threads-float",
     "n-float", "widen_units-float", "max_retries-float", "T-bool", "seed-null",
-    "lr-nan", "sgd_growth-inf", "init_scale-inf",
+    "lr-nan", "sgd_growth-inf", "init_scale-inf", "sgd-not-object", "algo-unknown",
 ])
 def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, entry):
     (tmp_path / "d.csv").write_text(TINY_CSV)
@@ -165,6 +181,40 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, entry):
     cfg.write_text(json.dumps({"data_path": str(tmp_path / "d.csv"), **entry}))
     assert main(["train", "--config", str(cfg)]) == EXIT_USAGE
     assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("config, flags, text", [
+    ("[1]", [], "c.json: config must be a JSON object"),
+    ('{"T": 1}', [], "a dataset is required"),
+    (None, ["--hidden", "4,x"], "bad width list '4,x'"),
+    (None, ["--threads", "0"], "threads must be >= 1"),
+    (None, ["--sgd-steps", "-1"], "sgd.steps must be >= 0"),
+    (None, ["--batch", "0"], "sgd.batch must be >= 1"),
+    (None, ["--max-retries", "-1"], "retry.max_retries must be >= 0"),
+    (None, ["--widen-units", "-1"], "retry.widen_units must be >= 0"),
+], ids=["not-an-object", "no-dataset", "hidden-not-integer", "threads-0", "sgd-steps-negative",
+        "batch-0", "max-retries-negative", "widen-units-negative"])
+def test_bad_config_or_option_is_usage_error_before_work(tmp_path, capsys, monkeypatch, config, flags, text):
+    (tmp_path / "d.csv").write_text(TINY_CSV)
+    monkeypatch.chdir(tmp_path)
+    if config is None:
+        flags = ["--data", "d.csv", *flags]
+    else:
+        (tmp_path / "c.json").write_text(config)
+        flags = ["--config", "c.json", *flags]
+    assert main(["train", "--T", "1", "--metrics", "m.csv", *flags]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert_one_error_line(err)
+    assert text in err and out == "" and not (tmp_path / "m.csv").exists()
+
+
+def test_misnamed_feature_column_is_malformed_input(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_CSV.replace("f0,f1,label", "g0,g1,label"))
+    assert main(["train", "--data", str(data), "--T", "1", "--hidden", "4"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert f"{data}: bad header 'g0,g1,label'" in err
 
 
 def test_widening_without_hidden_layer_is_rejected_before_work(tmp_path, capsys):

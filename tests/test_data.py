@@ -79,8 +79,10 @@ class TestGenRealizable:
         assert first == [1024]
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m must be >= 1"):  # realize would index an empty array
             gen_realizable(0, 3, NetworkArchitecture(3, (2,)), 0.1, 0)
+        with pytest.raises(ValueError, match="teacher input_dim 1 != d 0"):  # no architecture has d < 1
+            gen_realizable(5, 0, NetworkArchitecture(1, (2,)), 0.1, 0)
         with pytest.raises(ValueError):
             gen_realizable(5, 3, NetworkArchitecture(3, (2,)), 0.0, 0)
         with pytest.raises(ValueError):
