@@ -264,10 +264,15 @@ def ensemble_from_dict(obj) -> EnsembleModel:
     for i, a in enumerate(alphas):
         if isinstance(a, bool) or not isinstance(a, (int, float)) or not abs(a) <= sys.float_info.max:
             raise ModelFormatError(f"alpha {i} must be a finite number, got {a!r}")
-    nets = tuple(net_from_dict(member) for member in members)
+    nets = []
+    for i, member in enumerate(members):
+        try:
+            nets.append(net_from_dict(member))
+        except ModelFormatError as exc:
+            raise type(exc)(f"member {i}: {exc}") from exc
     if len({net.architecture.input_dim for net in nets}) > 1:
         raise ShapeError("ensemble members disagree on input dimension")
-    return EnsembleModel(members=nets, alphas=tuple(float(a) for a in alphas))
+    return EnsembleModel(members=tuple(nets), alphas=tuple(float(a) for a in alphas))
 
 
 def load_ensemble(path) -> EnsembleModel:

@@ -20,6 +20,7 @@ from .errors import (
     ConfigError,
     DatasetParseError,
     DegenerateTeacherError,
+    ModelFormatError,
     NoWeakLearnerError,
     NumericError,
     SelfieBoostError,
@@ -208,28 +209,12 @@ def _write_csv(path: str | None, header: str, rows) -> None:
 
 
 def read_metrics_csv(path: str) -> list[IterationRecord]:
-    """Parse a selfieboost metrics file.  Blank lines are skipped; an error
-    names a row by its line number in the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(row, line.strip()) for row, line in enumerate(fh, start=1) if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise DatasetParseError(f"{path}: {exc}") from exc
-    if not lines or lines[0][1] != METRICS_HEADER:
+    """Parse a selfieboost metrics file by the line rule of :func:`data.read_rows`."""
+    rows = data_mod.read_rows(path)
+    if not rows or rows[0][1] != METRICS_HEADER:
         raise DatasetParseError(f"{path}: expected metrics header {METRICS_HEADER!r}")
-    types = [int if f.type == "int" else float for f in fields(IterationRecord)]
-    records = []
-    for row, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(types):
-            raise DatasetParseError(
-                f"{path}: row {row} has {len(parts)} fields, expected {len(types)}"
-            )
-        try:
-            records.append(IterationRecord(*(kind(part) for kind, part in zip(types, parts))))
-        except ValueError as exc:
-            raise DatasetParseError(f"{path}: row {row}: {exc}") from exc
-    return records
+    kinds = [int if f.type == "int" else float for f in fields(IterationRecord)]
+    return [IterationRecord(*values) for values in data_mod.convert_rows(path, rows[1:], kinds)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +273,10 @@ def cmd_eval(args) -> int:
     dataset = data_mod.load_csv(args.data)
     obj = read_json(args.model)
     ensemble = isinstance(obj, dict) and "members" in obj
-    model = baselines.ensemble_from_dict(obj) if ensemble else net_from_dict(obj)
+    try:
+        model = baselines.ensemble_from_dict(obj) if ensemble else net_from_dict(obj)
+    except (ModelFormatError, ShapeError) as exc:  # read_json's own errors name the file already
+        raise type(exc)(f"{args.model}: {exc}") from exc
     dim = (model.members[0] if ensemble else model).architecture.input_dim
     if dim != dataset.d:
         raise ShapeError(f"model expects d={dim}, dataset has d={dataset.d}")

@@ -146,7 +146,7 @@ def _normal_blocks(rng: SplitMix64, d: int):
 def save_csv(dataset: Dataset, path) -> None:
     """Header ``f0,...,f{d-1},label``; one row per example; LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([f"f{j}" for j in range(dataset.d)] + ["label"]) + "\n")
+        fh.write(",".join(_header(dataset.d)) + "\n")
         for k in range(0, dataset.m, _ROWS):
             rows = dataset.features[k : k + _ROWS].tolist()
             labels = dataset.labels[k : k + _ROWS].tolist()
@@ -155,77 +155,83 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Parse a dataset file.  Blank lines are skipped; an error names a row
+    """Parse a dataset file.  Empty lines are skipped; an error names a row
     by its line number in the file.
 
     numpy's C reader parses the rows with the correctly rounded conversion
-    behind ``float()``.  A file it rejects, or whose table fails a check,
+    behind ``float()``.  A file it rejects, or whose table ``Dataset`` rejects,
     goes to :func:`_parse_rows`, the reference parser and the only source of
     error messages.  ``features`` and ``labels`` are views into one table.
     """
     table = _read_table(path)
-    if table is None:
-        return _parse_rows(path)
-    return Dataset(table[:, :-1], table[:, -1])
+    if table is not None:
+        try:
+            return Dataset(table[:, :-1], table[:, -1])
+        except ValueError:  # a label or a feature that _parse_rows names by its row
+            pass
+    return _parse_rows(path)
+
+
+def _header(d: int) -> list[str]:
+    """The header fields of a dataset file with ``d`` features."""
+    return [f"f{j}" for j in range(d)] + ["label"]
 
 
 def _read_table(path) -> Optional[np.ndarray]:
-    """The ``(m, d+1)`` table of a well-formed dataset file, else ``None``."""
+    """numpy's ``(m, d+1)`` table of a dataset file as wide as its header, else ``None``."""
     with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. "input contained no data"
         try:
             header = next((line for line in fh if line != "\n"), "").rstrip("\n").split(",")
-            if len(header) < 2 or header != [f"f{j}" for j in range(len(header) - 1)] + ["label"]:
+            if len(header) < 2 or header != _header(len(header) - 1):
                 return None
             table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
         except (ValueError, Warning):  # a UnicodeDecodeError is a ValueError
             return None
     # a file without rows has already failed on "input contained no data"
-    if (
-        table.shape[1] == len(header)
-        and np.all(np.abs(table[:, -1]) == 1.0)
-        and np.isfinite(table[:, :-1]).all()
-    ):
-        return table
-    return None
+    return table if table.shape[1] == len(header) else None
 
 
 def _parse_rows(path) -> Dataset:
     """The row-at-a-time parser behind :func:`load_csv`: ``float()`` per field."""
+    rows = read_rows(path)
+    if not rows:
+        raise EmptyDatasetError(f"{path}: empty dataset file")
+    (_, head), rows = rows[0], rows[1:]
+    header = head.split(",")
+    if len(header) < 2 or header != _header(len(header) - 1):
+        raise DatasetParseError(f"{path}: bad header {head!r}")
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no data rows")
+    table = np.empty((len(rows), len(header)))
+    for k, values in enumerate(convert_rows(path, rows, [float] * len(header))):
+        if values[-1] not in (-1.0, 1.0):
+            r, label = rows[k][0], rows[k][1].rsplit(",", 1)[1]
+            raise DatasetParseError(f"{path}: row {r}: label must be -1 or 1, got {label!r}")
+        table[k] = values
+    finite = np.isfinite(table[:, :-1]).all(axis=1)
+    if not finite.all():
+        raise DatasetParseError(f"{path}: row {rows[np.argmin(finite)][0]}: non-finite feature")
+    return Dataset(table[:, :-1], table[:, -1])
+
+
+def read_rows(path) -> list[tuple[int, str]]:
+    """The non-empty lines of a UTF-8 CSV file, without line ending, each with its line number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n").rstrip("\r") for line in fh]
+            return [(r, line.rstrip("\n")) for r, line in enumerate(fh, start=1) if line != "\n"]
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"{path}: {exc}") from exc
-    nonblank = np.flatnonzero(np.fromiter(map(bool, lines), dtype=bool, count=len(lines)))
-    if not nonblank.size:
-        raise EmptyDatasetError(f"{path}: empty dataset file")
-    head = lines[nonblank[0]]
-    header = head.split(",")
-    if header[-1] != "label" or len(header) < 2:
-        raise DatasetParseError(f"{path}: bad header {head!r}")
-    d = len(header) - 1
-    if header[:-1] != [f"f{j}" for j in range(d)]:
-        raise DatasetParseError(f"{path}: bad header {head!r}")
-    rows = nonblank[1:]
-    if not rows.size:
-        raise EmptyDatasetError(f"{path}: no data rows")
-    features = np.empty((rows.size, d))
-    labels = np.empty(rows.size)
-    for k, i in enumerate(rows):
-        r = i + 1
-        parts = lines[i].split(",")
-        if len(parts) != d + 1:
-            raise DatasetParseError(f"{path}: row {r} has {len(parts)} fields, expected {d + 1}")
+
+
+def convert_rows(path, rows: list[tuple[int, str]], kinds: list):
+    """Yield each of :func:`read_rows`' ``rows`` split on commas and converted by ``kinds``."""
+    for r, line in rows:
+        fields = line.split(",")
+        if len(fields) != len(kinds):
+            raise DatasetParseError(f"{path}: row {r} has {len(fields)} fields, expected {len(kinds)}")
         try:
-            values = [float(p) for p in parts]
+            values = [kind(field) for kind, field in zip(kinds, fields)]
         except ValueError as exc:
             raise DatasetParseError(f"{path}: row {r}: {exc}") from exc
-        if values[-1] not in (-1.0, 1.0):
-            raise DatasetParseError(f"{path}: row {r}: label must be -1 or 1, got {parts[-1]!r}")
-        features[k] = values[:-1]
-        labels[k] = values[-1]
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise DatasetParseError(f"{path}: row {rows[np.argmin(finite)] + 1}: non-finite feature")
-    return Dataset(features, labels)
+        yield values

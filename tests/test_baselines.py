@@ -308,3 +308,9 @@ class TestEnsembleIO:
         path.write_text('{"format_version": 99, "alphas": [], "members": []}')
         with pytest.raises(ModelVersionError):
             load_ensemble(path)
+
+    def test_member_error_names_the_member_and_keeps_its_class(self, tmp_path):
+        path = tmp_path / "ens.json"
+        path.write_text('{"format_version": 1, "alphas": [1.0], "members": [{"format_version": 2}]}')
+        with pytest.raises(ModelVersionError, match="^member 0: unsupported format_version 2"):
+            load_ensemble(path)

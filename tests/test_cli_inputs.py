@@ -27,41 +27,51 @@ HUGE = "1" + "0" * 400  # an integer literal beyond the float64 range
 MODEL = '{"format_version":%s,"activation":"tanh","dims":[2,1],"layers":[{"w":[[%s,0.0]],"b":[0.0]}]}'
 
 
-@pytest.mark.parametrize("doc", [
-    '{"format_version":1,"alphas":[],"members":[]}',
-    '{"format_version":1,"alphas":[null],' + ONE_MEMBER + "}",
-    '{"format_version":1,"alphas":["x"],' + ONE_MEMBER + "}",
-    '{"format_version":1,"alphas":[true],' + ONE_MEMBER + "}",
-    '{"format_version":1,"alphas":[NaN],' + ONE_MEMBER + "}",
-    '{"format_version":1,"alphas":[1.0],"members":[' + MODEL % (1, HUGE) + "]}",
-    MODEL % (1, HUGE),
-    '{"format_version":true,"alphas":[1.0],' + ONE_MEMBER + "}",
-    MODEL % ("true", 1.0),
-    MODEL % (1, '"1.5"'),
-    MODEL.replace('"b":[0.0]', '"b":[true]') % (1, 1.0),
-    MODEL.replace('"dims":[2,1]', '"dims":[2,true]') % (1, 1.0),
-    '{"format_version":1,"alphas":[1.0],"members":[' + MODEL % (1, '"1.5"') + "]}",
-    MODEL.replace('"b":[0.0]', '"b":' + "[" * 900 + "0.0" + "]" * 900) % (1, 1.0),
-    "[1]",
-    MODEL.replace('"tanh"', '"sigmoid"') % (1, 1.0),
-    MODEL.replace('"dims":[2,1]', '"dims":[2,3,1]') % (1, 1.0),
-    '{"format_version":1,"activation":"tanh","dims":[2,1],"layers":[5]}',
-    '{"format_version":1,"alphas":[1.0,2.0],' + ONE_MEMBER + "}",
-    '{"format_version":1,"alphas":[1.0,2.0],"members":[' + MODEL % (1, 1.0) + ","
-    + MODEL.replace('"dims":[2,1]', '"dims":[3,1]').replace("0.0]]", "0.0,0.0]]") % (1, 1.0) + "]}",
+@pytest.mark.parametrize("doc, text", [
+    ('{"format_version":1,"alphas":[],"members":[]}', "ensemble has no members"),
+    ('{"format_version":1,"alphas":[null],' + ONE_MEMBER + "}", "alpha 0 must be a finite number"),
+    ('{"format_version":1,"alphas":["x"],' + ONE_MEMBER + "}", "alpha 0 must be a finite number"),
+    ('{"format_version":1,"alphas":[true],' + ONE_MEMBER + "}", "alpha 0 must be a finite number"),
+    ('{"format_version":1,"alphas":[NaN],' + ONE_MEMBER + "}", "alpha 0 must be a finite number"),
+    ('{"format_version":1,"alphas":[1.0],"members":[' + MODEL % (1, HUGE) + "]}",
+     "member 0: layer 0: non-numeric entries"),
+    (MODEL % (1, HUGE), "layer 0: non-numeric entries"),
+    ('{"format_version":true,"alphas":[1.0],' + ONE_MEMBER + "}", "unsupported format_version True"),
+    (MODEL % ("true", 1.0), "unsupported format_version True"),
+    (MODEL % (1, '"1.5"'), "layer 0: entries must be JSON numbers"),
+    (MODEL.replace('"b":[0.0]', '"b":[true]') % (1, 1.0), "layer 0: entries must be JSON numbers"),
+    (MODEL.replace('"dims":[2,1]', '"dims":[2,true]') % (1, 1.0), "bad field 'dims'"),
+    ('{"format_version":1,"alphas":[1.0],"members":[' + MODEL % (1, '"1.5"') + "]}",
+     "member 0: layer 0: entries must be JSON numbers"),
+    (MODEL.replace('"b":[0.0]', '"b":' + "[" * 900 + "0.0" + "]" * 900) % (1, 1.0),
+     "layer 0: non-numeric entries"),
+    ("[1]", "model must be a JSON object"),
+    (MODEL.replace('"tanh"', '"sigmoid"') % (1, 1.0), "bad architecture"),
+    (MODEL.replace('"dims":[2,1]', '"dims":[2,3,1]') % (1, 1.0), "field 'layers' must hold 2 entries"),
+    ('{"format_version":1,"activation":"tanh","dims":[2,1],"layers":[5]}', "layer 0 must be an object"),
+    ('{"format_version":1,"alphas":[1.0,2.0],' + ONE_MEMBER + "}", "fields 'alphas' and 'members'"),
+    ('{"format_version":1,"alphas":[1.0,2.0],"members":[' + MODEL % (1, 1.0) + ","
+     + MODEL.replace('"dims":[2,1]', '"dims":[3,1]').replace("0.0]]", "0.0,0.0]]") % (1, 1.0) + "]}",
+     "ensemble members disagree on input dimension"),
+    ('{"format_version":1,"alphas":[1.0,2.0],"members":[' + MODEL % (1, 1.0) + ","
+     + MODEL % (1, '"1.5"') + "]}", "member 1: layer 0: entries must be JSON numbers"),
 ], ids=[
     "empty", "null", "string", "bool", "nan",
     "member-overflow", "model-overflow", "ensemble-version-bool", "model-version-bool",
     "model-string-weight", "model-bool-bias", "model-bool-dims", "member-string-weight",
     "model-deep-bias", "model-list", "model-activation", "model-layer-count",
     "model-layer-not-object", "ensemble-alpha-count", "ensemble-input-widths",
+    "second-member-string-weight",
 ])
-def test_empty_ensemble_is_malformed_input(tmp_path, capsys, doc):
+def test_empty_ensemble_is_malformed_input(tmp_path, capsys, doc, text):
+    # a format error names the file, and an ensemble's member error the member
     (tmp_path / "d.csv").write_text(TINY_CSV)
     (tmp_path / "ens.json").write_text(doc)
     code = main(["eval", "--model", str(tmp_path / "ens.json"), "--data", str(tmp_path / "d.csv")])
     assert code == EXIT_IO
-    assert_one_error_line(capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith(f"error: {tmp_path / 'ens.json'}: {text}")
 
 
 DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON parser's recursion limit
@@ -265,9 +275,13 @@ GOOD_ROW = "1,-0.2,0.5,0.25,0.5,5,0,500,32,0.0"
     (METRICS_HEADER + "\n1,x,0.5,0.25,0.5,5,0,500,32,0.0\n", "row 2:"),
     (METRICS_HEADER + "\n" + GOOD_ROW + "\n\n\n" + GOOD_ROW.replace("-0.2", "x") + "\n", "row 5:"),
     (f"{METRICS_HEADER}\n{GOOD_ROW}\n".encode().replace(b"-0.2", b"-0.2\xff"), "metrics.csv: 'utf-8'"),
-], ids=["header", "field-count", "non-numeric", "after-blank-lines", "non-utf8"])
+    (f"{METRICS_HEADER}\n{GOOD_ROW}\n \n{GOOD_ROW}\n", "row 3 has 1 fields"),
+    (f"{METRICS_HEADER} \n{GOOD_ROW}\n", "expected metrics header"),
+], ids=["header", "field-count", "non-numeric", "after-blank-lines", "non-utf8",
+        "whitespace-line", "header-with-space"])
 def test_malformed_metrics_csv_is_malformed_input(tmp_path, capsys, text, where):
-    # blank lines are skipped but still counted
+    # empty lines are skipped but still counted; a whitespace-only line is a
+    # row, as in a dataset file
     metrics = tmp_path / "metrics.csv"
     metrics.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = main(["verify", "--suite", "bound", "--metrics", str(metrics), "--m", "10"])
