@@ -5,7 +5,8 @@ Each stage is a child ``python -m selfieboost`` process, and its peak RSS is
 the ``ru_maxrss`` that ``os.wait4`` returns for it.  A first ``baseline``
 stage only imports the package: the interpreter's own RSS.  The last lines
 check both eval stages against the bound "feature matrix + 64 MiB above the
-baseline" and set the exit code: 0 if both are within it, 1 otherwise.
+baseline" and name each stage whose exit code is not 0.  The script exits 0
+if every stage exits 0 and both evals are within the bound, 1 otherwise.
 Each stage's output goes to ``<stage>.log`` in the work directory; with no
 directory given, a temporary one is used and removed (it holds the dataset
 CSV, about 200 MB at m=1e6).
@@ -63,16 +64,20 @@ def main() -> int:
         workdir = args.workdir or Path(tmp)
         workdir.mkdir(parents=True, exist_ok=True)
         print(f"m={args.m} d={D}")
-        peaks = {}
+        peaks, failed = {}, []
         for name, argv in stages:
             code, wall, peaks[name] = run_stage(workdir, name, argv)
             print(f"{name:9s} exit={code} wall_s={wall:.2f} peak_rss_mib={peaks[name]:.1f}")
+            if code:
+                failed.append((name, code))
     bound = peaks["baseline"] + args.m * D * 8 / MIB + 64
     over = [name for name in ("eval", "eval-ens") if peaks[name] > bound]
     for name in ("eval", "eval-ens"):
         print(f"{name} peak {peaks[name]:.1f} MiB is {'OVER' if name in over else 'within'} the bound "
               f"{bound:.1f} MiB (baseline + feature matrix + 64 MiB)")
-    return 1 if over else 0
+    for name, code in failed:
+        print(f"{name} FAILED with exit code {code}")
+    return 1 if over or failed else 0
 
 
 if __name__ == "__main__":

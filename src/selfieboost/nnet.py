@@ -1,18 +1,24 @@
 """Minimal feed-forward scalar-output networks with exact manual backprop.
 
 Weights are per-layer ``(fan_out, fan_in)`` float64 matrices.  Every affine
-layer is one einsum over C-contiguous operands zero-padded to 8 columns, which
-makes three invariances hold bit for bit (``tests/test_nnet.py`` checks each):
-a row scores the same alone as in any batch, at any offset, stride or memory
-order, so :func:`forward_batch` equals looped :func:`forward` at any thread
-count; zero-weight inputs appended by :func:`widen` change no output; appended
-output units leave the others as they were.  By the last two,
-:func:`forward_stacked`, the one scoring kernel (:func:`forward_batch` runs it
-on a stack of one), scores nets with one einsum per layer and gives each the
-bits it has alone.  The SGD loop, :func:`backprop_batch` and :func:`grad_check`
-run the one training kernel, :func:`_forward_cached` and :func:`_backprop_core`
-on a ``TrainWorkspace``, which, like the scoring kernel's workspace, copies
-the rows it is given into a padded input buffer.  Bit equality across CPU
+layer is one einsum over C-contiguous operands zero-padded to 8 columns, or a
+multiply-add with its bits (below), which makes three invariances hold bit
+for bit (``tests/test_nnet.py`` checks each): a row scores the same alone as
+in any batch, at any offset, stride or memory order, so :func:`forward_batch`
+equals looped :func:`forward` at any thread count; zero-weight inputs
+appended by :func:`widen` change no output; appended output units leave the
+others as they were.  By the last two, :func:`forward_stacked`, the one
+scoring kernel (:func:`forward_batch` runs it on a stack of one), scores nets
+with one einsum per layer and gives each the bits it has alone.  A layer
+after the first that reads one or two inputs is a multiply-add there
+instead: at most two products round once in any order, and the einsum's
+other products are exact zeros.  Only a zero's sign could differ, since
+einsum's sum starts at +0 and never gives -0, so :func:`stack_nets` stores
+each bias as ``b + 0.0`` (a -0 bias as +0), which changes no einsum sum.
+The SGD loop, :func:`backprop_batch` and :func:`grad_check` run the one
+training kernel, :func:`_forward_cached` and :func:`_backprop_core` on a
+``TrainWorkspace``, which, like the scoring kernel's workspace, copies the
+rows it is given into a padded input buffer.  Bit equality across CPU
 architectures or numpy builds is not claimed.
 """
 
@@ -223,7 +229,7 @@ def stack_nets(nets) -> list[tuple[NetStack, np.ndarray]]:
             w, b = np.zeros((len(members), out, fan_in + -fan_in % 8)), np.zeros((len(members), out))
             for j, net in enumerate(members):
                 o, k = net.weights[i].shape
-                w[j, :o, :k], b[j, :o] = net.weights[i], net.biases[i]
+                w[j, :o, :k], b[j, :o] = net.weights[i], net.biases[i] + 0.0  # -0 as +0
             weights.append(w)
             biases.append(b)
         stacks.append((NetStack(input_dim, activation, tuple(weights), tuple(biases)), np.array(positions)))
@@ -243,7 +249,13 @@ def forward_stacked(stack: NetStack, x: np.ndarray, work=None) -> np.ndarray:
     layers write row by row, in place when no column is padding.  Each
     member's contraction is its own contiguous 8-padded run followed by whole
     groups of exact zeros, so column ``j`` has the bits of net ``j`` alone.
-    Returns a view into ``work``.
+    A layer after the first whose stacked input is 1 or 2 columns wide skips
+    the einsum: one ``np.multiply`` of input column 0 by weight column 0 into
+    the buffer, plus column 1's product for width 2, then the bias.  Those
+    are the einsum's only nonzero products, summed with one rounding.  Their
+    sum can be -0, which the einsum never gives, but -0 plus a bias that is
+    not -0 (:func:`stack_nets` stores none) is never -0.  Returns a view into
+    ``work``.
     """
     x, rows = _check_batch(stack.input_dim, x), len(x)
     inputs, z, hidden = stack.workspace(rows) if work is None else work
@@ -252,7 +264,12 @@ def forward_stacked(stack: NetStack, x: np.ndarray, work=None) -> np.ndarray:
     act, spec = inputs[:rows], "bk,jok->bjo"
     for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
         out = z[i][:rows]
-        np.einsum(spec, act, w, out=out)
+        if i and h <= 2:  # h: the previous layer's width
+            np.multiply(act[:, :, 0, None], w[:, :, 0], out=out)
+            if h == 2:
+                out += act[:, :, 1, None] * w[:, :, 1]
+        else:
+            np.einsum(spec, act, w, out=out)
         out += b
         if i < len(hidden):
             h, pad = w.shape[1], hidden[i].shape[2]

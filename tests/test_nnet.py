@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfieboost import nnet
@@ -346,14 +346,27 @@ class TestStackedForward:
         layout=st.sampled_from(["C", "F", "strided"]),
         threads=st.integers(1, 3),
         seed=st.integers(0, 2**32),
+        dead=st.booleans(),
     )
-    def test_every_path_equals_the_plain_numpy_oracle(self, d, depth, widths, activation, rows, layout, threads, seed):
-        # the nets of a stack share their depth; widths differ from net to net
+    # a dead unit feeding a negative output weight: the product is -0, and
+    # with a -0 output bias only einsum's +0 start gives the oracle's +0
+    @example(d=3, depth=1, widths=[[1, 1]], activation="relu", rows=5, layout="C", threads=1, seed=1, dead=True)
+    def test_every_path_equals_the_plain_numpy_oracle(self, d, depth, widths, activation, rows, layout, threads,
+                                                       seed, dead):
+        # the nets of a stack share their depth; widths differ from net to net.
+        # Hidden layers 1 or 2 wide feed the next layer by multiply-add, wider
+        # ones by the einsum; ``dead`` sets every bias to -0 and zeroes the
+        # incoming weights of the first two units of each hidden layer, so
+        # those units put out +0 and the next layer sums ±0 products
         nets = []
         for j, hidden in enumerate(widths):
             arch = NetworkArchitecture(d, tuple(hidden[:depth]), activation)
             net = init_network(arch, seed + j, 1.0)
             biases = [normals(seed + 7 * j + i, *b.shape) for i, b in enumerate(net.biases)]
+            if dead:
+                biases = [np.full(b.shape, -0.0) for b in biases]
+                for w in net.weights[:-1]:
+                    w[:2] = 0.0
             nets.append(FeedForwardNet(arch, net.weights, biases))
         x = normals(seed ^ 0x5EED, rows, 2 * d)
         x = {"C": np.ascontiguousarray(x[:, :d]), "F": np.asfortranarray(x[:, :d]), "strided": x[:, ::2]}[layout]
@@ -557,6 +570,25 @@ class TestWiden:
         net = make_linear([1.0, 2.0], 0.0)
         with pytest.raises(UnsupportedArchitectureError):
             widen(net, 2, seed=0)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_widening_across_the_multiply_add_boundary_keeps_the_bits(self, width, activation):
+        # an output layer reading 1 or 2 hidden units is scored by multiply-add,
+        # one reading 3 by the einsum.  The first unit is dead (zero incoming
+        # weights, -0 biases) and every output weight negative, so the output
+        # sums a -0 product
+        net = init_network(NetworkArchitecture(3, (width,), activation), 5, 1.0)
+        net.weights[0][0] = 0.0
+        net.weights[1][...] = -np.abs(net.weights[1])
+        for b in net.biases:
+            b[...] = -0.0
+        wide = widen(net, 1, seed=6)
+        assert wide.architecture.hidden_layers == (width + 1,)
+        X = normals(7, 100, 3)
+        expected = sgd_oracle.scores(net, X)
+        assert_same_bits(forward_batch(net, X), expected)
+        assert_same_bits(forward_batch(wide, X), expected)
 
     @settings(max_examples=25, deadline=None)
     @given(
