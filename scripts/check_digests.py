@@ -3,8 +3,11 @@
 Each command's exit code, stdout and stderr go to ``<name>.log`` in the work
 directory and are digested with the model, metrics and data files, so two
 checkouts that print the same lines behave byte-identically on this set.
-Two reformatted copies of ``data.csv`` are evaluated as well, one read by
-numpy's reader and one by the row parser, and must print the same line.
+Two datasets of 4000 rows are split in halves first; models trained on the
+first 2000 rows of one are evaluated on the rest, the trainers' held-out
+error.  Two reformatted copies of ``data.csv`` are evaluated as well, one
+read by numpy's reader and one by the row parser, and must print the same
+line.
 Last come the bound suite on ``metrics.csv`` with two rows swapped (exit 1),
 a relu run whose first margin shift overflows (exit 5), and the eval of
 ``mixed.json``, an ensemble whose members differ in depth, widths and
@@ -39,6 +42,26 @@ import numpy as np
 EXIT_DIFFERS, EXIT_ENVIRONMENT = 1, 3
 
 README_TRAIN = "--hidden 32 --rho 0.1 --T 50 --n 256 --sgd-steps 500 --lr 0.05 --batch 32 --seed 42"
+
+# their rows are split in halves by write_halves before COMMANDS run:
+# (data file, first 2000 rows, the rest)
+SPLIT_COMMANDS = (
+    ("genrelu", "gen-data --m 4000 --d 20 --teacher-hidden 16 --teacher-activation relu --seed 7 "
+                "--out datarelu.csv --teacher-out teacherrelu.json"),
+    ("gen4k", "gen-data --m 4000 --d 10 --seed 42 --out data4k.csv --teacher-out teacher4k.json"),
+)
+HALVES = (("datarelu.csv", "relutrain.csv", "reluheld.csv"), ("data4k.csv", "deeptrain.csv", "deepheld.csv"))
+SPLIT_ROWS = 2000
+
+
+def write_halves(workdir: Path) -> None:
+    """Write each of the ``HALVES`` data files' first ``SPLIT_ROWS`` rows to one
+    file and the rest to another, each under the header."""
+    for source, first, rest in HALVES:
+        header, *rows = (workdir / source).read_text().splitlines(keepends=True)
+        (workdir / first).write_text("".join([header, *rows[:SPLIT_ROWS]]))
+        (workdir / rest).write_text("".join([header, *rows[SPLIT_ROWS:]]))
+
 
 COMMANDS = (
     ("gen", "gen-data --m 2000 --d 10 --seed 42 --out data.csv --teacher-out teacher.json"),
@@ -124,6 +147,19 @@ COMMANDS = (
                 "--hidden= --sgd-steps 300 --seed 42"),
     ("one1", "train --data data1.csv --out-model one1.json --metrics one1.csv --hidden 4,1 --T 5 "
              "--sgd-steps 200 --seed 42"),
+    # a relu teacher on which the three trainers differ: SelfieBoost stops
+    # with exit 4 on its training half, plain SGD and AdaBoost reach zero
+    # training error; each is evaluated on the held-out half
+    ("relusb", f"train --data relutrain.csv --out-model relusb.json --metrics relusb.csv {README_TRAIN}"),
+    ("relusgd", f"train --algo sgd --data relutrain.csv --out-model relusgd.json --metrics relusgd.csv "
+                f"{README_TRAIN} --sgd-steps 20000"),
+    ("reluada", f"train --algo adaboost --data relutrain.csv --out-model reluada.json --metrics reluada.csv "
+                f"{README_TRAIN}"),
+    # three hidden layers of 32: tanh reaches zero error, relu finds no candidate (exit 4)
+    ("deeptanh", f"train --data deeptrain.csv --out-model deeptanh.json --metrics deeptanh.csv "
+                 f"{README_TRAIN} --hidden 32,32,32"),
+    ("deeprelu", f"train --data deeptrain.csv --out-model deeprelu.json --metrics deeprelu.csv "
+                 f"{README_TRAIN} --hidden 32,32,32 --activation relu"),
 )
 
 EVALS = (
@@ -134,7 +170,11 @@ EVALS = (
     ("ens2.json", "data.csv"), ("lrzero.json", "lrzerodata.csv"), ("lin.json", "data.csv"),
     ("linsgd.json", "data.csv"), ("adalin.json", "data.csv"), ("batch1.json", "data.csv"),
     ("bigbatch.json", "data.csv"), ("teacher1.json", "data1.csv"), ("lin1.json", "data1.csv"),
-    ("linsgd1.json", "data1.csv"), ("one1.json", "data1.csv"),
+    ("linsgd1.json", "data1.csv"), ("one1.json", "data1.csv"), ("stall.json", "data.csv"),
+    ("growone.json", "data.csv"), ("growbig.json", "data.csv"), ("growbig16.json", "data.csv"),
+    ("lrzeroteacher.json", "lrzerodata.csv"), ("teacherrelu.json", "datarelu.csv"),
+    ("relusb.json", "reluheld.csv"), ("relusgd.json", "reluheld.csv"), ("reluada.json", "reluheld.csv"),
+    ("teacher4k.json", "data4k.csv"), ("deeptanh.json", "deepheld.csv"), ("deeprelu.json", "deepheld.csv"),
 )
 
 
@@ -215,6 +255,9 @@ def main() -> int:
     if any(workdir.iterdir()):
         print(f"error: {workdir} is not empty", file=sys.stderr)
         return 2
+    for name, command in SPLIT_COMMANDS:
+        run(workdir, name, command.split())
+    write_halves(workdir)
     for name, command in COMMANDS:
         run(workdir, name, command.split())
     for model, data in EVALS:

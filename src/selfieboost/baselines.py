@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BoostConfig, _initial_net, _sgd_loop, err
+from .boost import BoostConfig, _sgd_loop, err
 from .data import Dataset
 from .errors import ModelFormatError, ModelVersionError, NoWeakLearnerError, ShapeError, _sized_by
 from .nnet import (
@@ -24,6 +24,7 @@ from .nnet import (
     backprop_batch,  # noqa: F401 -- unused; perfbench's boundary table names baselines.backprop_batch
     forward_batch,
     forward_stacked,
+    init_network,
     net_from_dict,
     net_to_dict,
     read_json,
@@ -102,7 +103,7 @@ def _hinge_sgd(
     seed: int,
 ) -> FeedForwardNet:
     """A weak learner: a net drawn at scale 1, after ``steps`` hinge-SGD updates."""
-    net = _initial_net(arch, derive_seed(seed, 0), 1.0)
+    net = init_network(arch, derive_seed(seed, 0), 1.0)
     _hinge_steps(net, data, steps, lr, batch, SplitMix64(derive_seed(seed, 1)))
     return net
 
@@ -120,9 +121,9 @@ def run_adaboost(data: Dataset, config: BoostConfig) -> AdaBoostResult:
     """
     if config.T < 1:
         raise ValueError("T must be >= 1")
-    arch = NetworkArchitecture(data.d, config.hidden, config.activation)
+    arch = config.learner(data.d)
     sgd = config.sgd
-    n = config.n if config.n is not None else min(data.m, 256)
+    n = config.working_set_size(data.m)
     rng = SplitMix64(derive_seed(config.seed, 5))
     dist = np.full(data.m, 1.0 / data.m)
     members: list[FeedForwardNet] = []
@@ -224,9 +225,8 @@ def run_plain_sgd(data: Dataset, config: BoostConfig) -> PlainSgdResult:
     updates.  The training-error trajectory is recorded at roughly
     ``_CHECKPOINTS`` evenly spaced steps.
     """
-    arch = NetworkArchitecture(data.d, config.hidden, config.activation)
     steps, lr, batch = config.sgd.steps, config.sgd.lr, config.sgd.batch
-    net = _initial_net(arch, derive_seed(config.seed, 0), config.init_scale)
+    net = config.initial_net(data.d)
     rng = SplitMix64(derive_seed(config.seed, 1))
     every = max(1, steps // _CHECKPOINTS)
     trajectory = [(0, err(net, data))]

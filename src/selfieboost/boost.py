@@ -83,10 +83,10 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class BoostConfig:
-    """Knobs of the boosting run.  ``n`` is the working-set size; ``None``
-    means ``min(m, 256)``.  ``init_scale=0`` starts from the zero function,
-    random hidden layers under an all-zero output layer (see
-    ``_initial_net``), for which the initial potential is exactly ``log m``."""
+    """Knobs of the boosting run, and the learner, working-set size and
+    initial net they give on a dataset.  ``n`` is the working-set size;
+    ``None`` means ``min(m, 256)``.  ``init_scale=0`` starts from the zero
+    function (see :func:`init_network`), whose potential is exactly ``log m``."""
 
     rho: float = 0.1
     T: int = 50
@@ -110,11 +110,22 @@ class BoostConfig:
             raise ConfigError(f"init_scale must be a finite number >= 0, got {self.init_scale}")
         # architecture validity (raises ValueError with a clear message)
         try:
-            NetworkArchitecture(1, self.hidden, self.activation)
+            self.learner(1)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.retry.widen_units > 0 and not self.hidden:
             raise ConfigError("retry.widen_units needs a hidden layer to widen")
+
+    def learner(self, d: int) -> NetworkArchitecture:
+        """The architecture every trainer starts from on ``d`` features."""
+        return NetworkArchitecture(d, self.hidden, self.activation)
+
+    def working_set_size(self, m: int) -> int:
+        return self.n if self.n is not None else min(m, 256)
+
+    def initial_net(self, d: int) -> FeedForwardNet:
+        """SelfieBoost's start, and plain SGD's."""
+        return init_network(self.learner(d), derive_seed(self.seed, 0), self.init_scale)
 
 
 @dataclass(frozen=True)
@@ -315,25 +326,6 @@ def edge(cache: MarginCache, candidate_scores: np.ndarray, rho: float = 0.1) -> 
     )
 
 
-def _initial_net(arch: NetworkArchitecture, seed: int, init_scale: float) -> FeedForwardNet:
-    """Initial network of a boosting run and of the baselines' SGD.
-
-    ``init_scale > 0`` draws every layer at that scale.  ``init_scale = 0``
-    must give the exactly-zero function (its potential is then exactly
-    ``log m``), but an all-zero parameter vector is a saddle that blocks
-    backprop: with zero output weights and zero hidden activations no
-    gradient ever reaches a weight.  So the zero function is realized the
-    same way widening realizes it: random hidden layers, output layer
-    exactly zero.
-    """
-    if init_scale > 0:
-        return init_network(arch, seed, init_scale)
-    net = init_network(arch, seed, 1.0)
-    net.weights[-1][:] = 0.0
-    net.biases[-1][:] = 0.0
-    return net
-
-
 class Attempt(NamedTuple):
     """One try at a candidate; ``done``: its steps on a kept working set, 0 for a fresh draw."""
 
@@ -386,12 +378,11 @@ def run_selfieboost(
     With ``measure_time=False`` (the default) ``wall_ms`` is recorded as 0.0
     so that identical runs produce bit-identical records.
     """
-    arch = NetworkArchitecture(data.d, config.hidden, config.activation)
-    net = _initial_net(arch, derive_seed(config.seed, 0), config.init_scale)
+    net = config.initial_net(data.d)
     rng_sets = SplitMix64(derive_seed(config.seed, 1))
     rng_sgd = SplitMix64(derive_seed(config.seed, 2))
     rng_widen = SplitMix64(derive_seed(config.seed, 3))
-    n = config.n if config.n is not None else min(data.m, 256)
+    n = config.working_set_size(data.m)
 
     records: list[IterationRecord] = []
     stop_reason = STOP_COMPLETED

@@ -98,8 +98,8 @@ _CONFIG_FLAGS = (
     ("seed", int, "seed", None, "master seed; all randomness derives from it (default 0)"),
     ("rho", float, "rho", None, "edge threshold in (0, 0.25) (default 0.1)"),
     ("T", int, "T", None, "max boosting iterations (default 50)"),
-    ("n", int, "n", None, "working-set size (default min(m, 256))"),
-    ("init_scale", float, "init_scale", None, "init scale; 0 = zero net (default 0)"),
+    ("n", int, "n", None, "working-set size (default 256, or m if smaller)"),
+    ("init_scale", float, "init_scale", None, "init scale; 0 = the zero function (default 0)"),
     ("hidden", list, "hidden", None, "learner hidden widths, comma separated (default 32)"),
     ("activation", ACTIVATIONS, "activation", None, "hidden activation (default tanh)"),
     ("sgd_steps", int, "steps", "sgd", "inner SGD steps per attempt (default 500)"),
@@ -111,7 +111,7 @@ _CONFIG_FLAGS = (
     ("lr_shrink", float, "lr_shrink", "retry", "lr multiplier after clip violations (default 0.5)"),
 )
 _SECTIONS = ("sgd", "retry")
-_NULLABLE = ("n", "out_model", "metrics_path")  # null means the default: min(m, 256), no file
+_NULLABLE = ("n", "out_model", "metrics_path")  # null means the default: BoostConfig.working_set_size, no file
 _TYPE_NAMES = {int: "an integer", float: "a number", list: "a list of integers"}
 # top-level keys that configure the run; all others configure BoostConfig
 _RUN_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "boost")

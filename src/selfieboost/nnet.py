@@ -121,8 +121,9 @@ class FeedForwardNet:
 def init_network(arch: NetworkArchitecture, seed: int, scale: float) -> FeedForwardNet:
     """Seeded init: weights uniform in ``±scale/sqrt(fan_in)``, biases zero.
 
-    ``scale=0`` gives the exact all-zero network.  Identical arguments give
-    bit-identical parameters.
+    ``scale=0`` gives the zero function: the net drawn at scale 1 with its
+    output weights +0.0, not the all-zero net, a saddle at which no gradient
+    reaches a weight.  Identical arguments give bit-identical parameters.
     """
     if scale < 0:
         raise ValueError("scale must be >= 0")
@@ -131,13 +132,12 @@ def init_network(arch: NetworkArchitecture, seed: int, scale: float) -> FeedForw
     weights, biases = [], []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
-        if scale == 0.0:
-            w = np.zeros((fan_out, fan_in))
-        else:
-            u = rng.uniform_block(fan_out * fan_in).reshape(fan_out, fan_in)
-            w = (2.0 * u - 1.0) * (scale / math.sqrt(fan_in))
+        u = rng.uniform_block(fan_out * fan_in).reshape(fan_out, fan_in)
+        w = (2.0 * u - 1.0) * ((scale or 1.0) / math.sqrt(fan_in))
         weights.append(w)
         biases.append(np.zeros(fan_out))
+    if scale == 0.0:
+        weights[-1][...] = 0.0
     return FeedForwardNet(architecture=arch, weights=weights, biases=biases)
 
 

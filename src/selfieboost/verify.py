@@ -177,9 +177,9 @@ def bound_suite(records: Sequence[IterationRecord], m: int, rho: float) -> Suite
     """Check a recorded run against the convergence guarantee.
 
     The run starts at the first record's ``potential_before``, or at ``log m``
-    (the zero net's potential) when there are no records.  Record ``k`` must
-    have ``t == k``, start exactly where record ``k - 1`` ended, and drop the
-    potential by at least ``rho`` and by at least ``-edge`` (the chain
+    (the zero function's potential) when there are no records.  Record ``k``
+    must have ``t == k``, start exactly where record ``k - 1`` ended, and drop
+    the potential by at least ``rho`` and by at least ``-edge`` (the chain
     ``after - before <= edge``).  Final mistakes must be at most
     ``exp(initial - rho * k)`` after ``k`` records.  The reported deficit is
     the worst slack of the two per-record inequalities.

@@ -19,10 +19,10 @@ from selfieboost.baselines import (
     run_plain_sgd,
     save_ensemble,
 )
-from selfieboost.boost import BoostConfig, SgdParams, _initial_net
+from selfieboost.boost import BoostConfig, SgdParams
 from selfieboost.cli import main
 from selfieboost.data import Dataset, gen_realizable, load_csv
-from selfieboost.errors import ModelVersionError, NoWeakLearnerError, ShapeError
+from selfieboost.errors import ModelFormatError, ModelVersionError, NoWeakLearnerError, ShapeError
 from selfieboost.nnet import (
     ACTIVATIONS,
     FeedForwardNet,
@@ -213,6 +213,8 @@ class TestStackedEnsemble:
         assert ensemble_predict_batch(model, np.zeros((0, 2))).shape == (0,)
         with pytest.raises(ValueError, match="empty ensemble"):
             ensemble_predict_batch(EnsembleModel(members=(), alphas=()), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="equal length"):
+            EnsembleModel(members=model.members, alphas=(1.0, 1.0))
 
     def test_stacks_are_built_once_and_members_are_read_only(self, monkeypatch):
         calls = []
@@ -265,7 +267,7 @@ class TestPlainSgd:
 
     def test_zero_init_scale_starts_where_selfieboost_starts(self, easy_data):
         start = run_plain_sgd(easy_data, BoostConfig(hidden=(3,), sgd=SgdParams(0, 0.1), seed=4)).net
-        reference = _initial_net(NetworkArchitecture(4, (3,)), derive_seed(4, 0), 0.0)
+        reference = init_network(NetworkArchitecture(4, (3,)), derive_seed(4, 0), 0.0)
         for a, b in zip(start.weights + start.biases, reference.weights + reference.biases):
             assert a.tobytes() == b.tobytes()
         config = BoostConfig(hidden=(3,), sgd=SgdParams(50, 0.1, 1), seed=4)
@@ -307,6 +309,9 @@ class TestEnsembleIO:
         path = tmp_path / "ens.json"
         path.write_text('{"format_version": 99, "alphas": [], "members": []}')
         with pytest.raises(ModelVersionError):
+            load_ensemble(path)
+        path.write_text("[]")
+        with pytest.raises(ModelFormatError, match="JSON object"):
             load_ensemble(path)
 
     def test_member_error_names_the_member_and_keeps_its_class(self, tmp_path):

@@ -17,7 +17,6 @@ from selfieboost.boost import (
     STOP_COMPLETED,
     STOP_NO_CANDIDATE,
     STOP_ZERO_ERROR,
-    _initial_net,
     _next_attempt,
     _sgd_loop,
     cache_from_scores,
@@ -323,7 +322,7 @@ class TestSgdLoop:
         # enter the backward pass as a copy
         rng = SplitMix64(seed)
         data = Dataset(rng.normal_block(m * d).reshape(m, d) * 2.0, np.where(rng.uniform_block(m) < 0.5, -1.0, 1.0))
-        net = _initial_net(NetworkArchitecture(d, tuple(hidden), activation), seed, init_scale)
+        net = init_network(NetworkArchitecture(d, tuple(hidden), activation), seed, init_scale)
         working_set = uniform_picks(rng, m + 3, m)
         snapshot = forward_batch(net, data.features) + rng.normal_block(m) * 0.1
         with mock.patch.object(boost, "_CHUNK_BYTES", chunk_bytes):
@@ -751,12 +750,9 @@ class TestRunSelfieboost:
     def test_acceptance_soundness_replay(self, small_data, small_config, small_run):
         """Manually replay one iteration and recheck adoption with the oracle."""
         dataset, _ = small_data
-        from selfieboost.boost import _initial_net
         from selfieboost.sampling import build_alias, derive_seed, sample_indices
 
-        net = _initial_net(
-            NetworkArchitecture(5, (16,)), derive_seed(small_config.seed, 0), 0.0
-        )
+        net = small_config.initial_net(5)
         scores = forward_batch(net, dataset.features)
         cache = cache_from_scores(scores, dataset.labels)
         table = build_alias(cache.probs)

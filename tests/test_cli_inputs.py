@@ -55,13 +55,16 @@ MODEL = '{"format_version":%s,"activation":"tanh","dims":[2,1],"layers":[{"w":[[
      "ensemble members disagree on input dimension"),
     ('{"format_version":1,"alphas":[1.0,2.0],"members":[' + MODEL % (1, 1.0) + ","
      + MODEL % (1, '"1.5"') + "]}", "member 1: layer 0: entries must be JSON numbers"),
+    (MODEL % (1, "NaN"), "layer 0 has non-finite parameters"),
+    ('{"format_version":1,"alphas":[1.0],"members":[' + MODEL.replace('"b":[0.0]', '"b":[Infinity]') % (1, 1.0)
+     + "]}", "member 0: layer 0 has non-finite parameters"),
 ], ids=[
     "empty", "null", "string", "bool", "nan",
     "member-overflow", "model-overflow", "ensemble-version-bool", "model-version-bool",
     "model-string-weight", "model-bool-bias", "model-bool-dims", "member-string-weight",
     "model-deep-bias", "model-list", "model-activation", "model-layer-count",
     "model-layer-not-object", "ensemble-alpha-count", "ensemble-input-widths",
-    "second-member-string-weight",
+    "second-member-string-weight", "model-nan-weight", "member-infinite-bias",
 ])
 def test_empty_ensemble_is_malformed_input(tmp_path, capsys, doc, text):
     # a format error names the file, and an ensemble's member error the member

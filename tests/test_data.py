@@ -127,6 +127,8 @@ class TestDatasetType:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="labels length"):
+            Dataset(np.zeros((2, 2)), np.ones(3))
 
     def test_rejects_empty(self):
         with pytest.raises(EmptyDatasetError):

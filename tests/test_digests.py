@@ -1,15 +1,19 @@
 """A tier-1 subset of ``scripts/check_digests.py``: the README run's
-``gen-data``, ``train``, ``verify`` and ``eval``, the hinge SGD runs of the
-``ensemble`` workload and of ``--algo sgd``, the runs whose SGD blows up, and
-the linear runs on one feature must write the bytes that
-``scripts/digests.txt`` records for them.  The full script stays a step of
-every change; this catches a changed output bit without it."""
+``gen-data``, ``train``, ``verify`` and ``eval``, a relu run that starts at
+``--init-scale 0.5``, the hinge SGD runs of the ``ensemble`` workload and of
+``--algo sgd``, the runs whose SGD blows up, and the linear runs on one
+feature must write the bytes that ``scripts/digests.txt`` records for them.
+The full script stays a step of every change; this catches a changed output
+bit without it.  And the script evaluates every model file it writes."""
 
 import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from selfieboost.boost import BoostConfig
+from selfieboost.nnet import save_model
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("check_digests", ROOT / "scripts" / "check_digests.py")
@@ -41,6 +45,15 @@ def test_the_readme_run_writes_the_committed_bytes(tmp_path, monkeypatch):
     assert_committed_bytes(tmp_path, monkeypatch, ("gen", "train", "verify"), [("model.json", "data.csv")], 8)
 
 
+def test_the_scaled_start_writes_the_committed_bytes(tmp_path, monkeypatch):
+    # the relu run accepts no candidate, so its model is its initial net at
+    # --init-scale 0.5; the README run pins the start at scale 0
+    assert_committed_bytes(tmp_path, monkeypatch, ("gen", "relu"), [("relu.json", "data.csv")], 7)
+    start = BoostConfig(seed=42, init_scale=0.5, hidden=(70, 9), activation="relu").initial_net(10)
+    save_model(start, tmp_path / "start.json")
+    assert (tmp_path / "start.json").read_bytes() == (tmp_path / "relu.json").read_bytes()
+
+
 def test_the_hinge_sgd_runs_write_the_committed_bytes(tmp_path, monkeypatch):
     # hidden 2 (the ensemble workload) and hidden 32, whose first layer is
     # wider than its input
@@ -62,3 +75,17 @@ def test_the_one_feature_runs_write_the_committed_bytes(tmp_path, monkeypatch):
     # a linear net on one feature: the input layer's one-column rows enter
     # the backward pass as copies, in SelfieBoost and in plain SGD
     assert_committed_bytes(tmp_path, monkeypatch, ("gen1", "lin1", "linsgd1"), [], 9)
+
+
+def test_every_model_file_the_script_writes_is_evaluated():
+    # a model or teacher file that a command names is either evaluated or,
+    # as its absence from digests.txt shows, never written
+    recorded = {line.split()[1] for line in (ROOT / "scripts" / "digests.txt").read_text().splitlines()[1:]}
+    named = set()
+    for _, command in (*check_digests.SPLIT_COMMANDS, *check_digests.COMMANDS, *check_digests.LATE_COMMANDS):
+        words = command.split()
+        named.update(words[k + 1] for k, word in enumerate(words) if word in ("--out-model", "--teacher-out"))
+    evaluated = {model for model, _ in check_digests.EVALS}
+    assert evaluated <= named & recorded
+    unwritten = {"growinf.json", "sgdnum.json", "adanum.json", "ovf.json", "teachercap.json"}  # exit 64, 5, 5, 5, 3
+    assert named - evaluated == named - recorded == unwritten

@@ -91,6 +91,25 @@ class TestInit:
         assert all(np.all(w == 0.0) for w in net.weights)
         assert forward(net, np.array([5.0, -2.0, 0.3])) == 0.0
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("hidden", [(), (3,), (4, 1, 3)], ids=["0", "3", "4-1-3"])
+    def test_zero_scale_is_the_unit_draw_with_zero_output_weights(self, hidden, activation):
+        # the zero function on the layers drawn at scale 1, so backprop can
+        # move them; -0.0 takes the same path, and any other sign is refused
+        arch = NetworkArchitecture(5, hidden, activation)
+        zero, unit = init_network(arch, 11, 0.0), init_network(arch, 11, 1.0)
+        for a, b in zip(zero.weights[:-1] + zero.biases, unit.weights[:-1] + unit.biases):
+            assert a.tobytes() == b.tobytes()
+        assert zero.weights[-1].tobytes() == np.zeros(unit.weights[-1].shape).tobytes()
+        assert np.all(unit.weights[-1] != 0.0)
+        minus = init_network(arch, 11, -0.0)
+        for a, b in zip(minus.weights + minus.biases, zero.weights + zero.biases):
+            assert a.tobytes() == b.tobytes()
+        x = SplitMix64(4).normal_block(20 * 5).reshape(20, 5)
+        assert forward_batch(zero, x).tobytes() == np.zeros(20).tobytes()
+        with pytest.raises(ValueError, match="scale"):
+            init_network(arch, 11, -1e-300)
+
     def test_deterministic(self):
         arch = NetworkArchitecture(10, (32,))
         a = init_network(arch, 7, 1.0)
@@ -141,6 +160,10 @@ class TestForward:
             forward(net, np.zeros(4))
         with pytest.raises(ShapeError):
             forward_batch(net, np.zeros((2, 5)))
+        with pytest.raises(ShapeError, match="upstream"):
+            backprop_batch(net, np.zeros((2, 3)), np.zeros(3))
+        with pytest.raises(ShapeError, match="layer count"):
+            FeedForwardNet(net.architecture, net.weights * 2, net.biases * 2)
 
 
 class TestForwardBatch:
@@ -570,6 +593,8 @@ class TestWiden:
         net = make_linear([1.0, 2.0], 0.0)
         with pytest.raises(UnsupportedArchitectureError):
             widen(net, 2, seed=0)
+        with pytest.raises(ValueError, match="extra_units"):
+            widen(init_network(NetworkArchitecture(2, (3,)), 0, 1.0), 0, seed=0)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("width", [1, 2])
