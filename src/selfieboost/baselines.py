@@ -35,8 +35,9 @@ from .sampling import SplitMix64, build_alias, chunked_sum, derive_seed, sample_
 
 ENSEMBLE_FORMAT_VERSION = 1
 _CHECKPOINTS = 100  # plain SGD's trajectory points
-# Floats in the largest temporary of one ensemble row block (512 KiB).  Whole
-# 1024-row blocks of a 50-member ensemble scored slower and raised peak RSS.
+# Floats in one ensemble row block's vote terms and widest workspace buffer
+# together (512 KiB).  Whole 1024-row blocks of a 50-member ensemble scored
+# slower and raised peak RSS.
 _STACK_FLOATS = 2**16
 
 
@@ -177,15 +178,15 @@ def ensemble_predict_batch(model: EnsembleModel, features: np.ndarray) -> np.nda
     ``alpha * ±1.0``; a score of 0 votes -1), and each row's total is summed
     one by one in member order (``add.accumulate`` down the member axis is
     sequential, unlike ``sum``), so it has the bits of a per-member loop.
-    Blocks are sized so that no workspace buffer and no block of terms exceeds
-    ``_STACK_FLOATS`` floats unless one row does.
+    Blocks are sized so that a block of terms and the widest workspace buffer
+    together hold at most ``_STACK_FLOATS`` floats unless one row exceeds it.
     """
     if not model.members:
         raise ValueError("empty ensemble")
     for stack, _ in model.groups:
         features = _check_batch(stack.input_dim, features)  # also when there are no rows
     alphas, width, m = np.array(model.alphas), len(model.members) + 1, features.shape[0]
-    rows = max(1, _STACK_FLOATS // max(width, *(stack.row_floats for stack, _ in model.groups)))
+    rows = max(1, _STACK_FLOATS // (width + max(stack.row_floats for stack, _ in model.groups)))
     groups = [(stack, positions + 1, alphas[positions], stack.workspace(min(rows, m)))
               for stack, positions in model.groups]
     terms, totals = np.zeros((width, min(rows, m))), np.empty((width, min(rows, m)))

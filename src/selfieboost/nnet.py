@@ -1,8 +1,9 @@
 """Minimal feed-forward scalar-output networks with exact manual backprop.
 
 Weights are per-layer ``(fan_out, fan_in)`` float64 matrices.  Every affine
-layer is one einsum over C-contiguous operands zero-padded to 8 columns, or a
-multiply-add with its bits (below), which makes three invariances hold bit
+layer is one einsum over C-contiguous operands, zero-padded to a multiple of
+8 columns unless whole groups of 8 leave at most 2 over (:func:`_padded`), or
+a multiply-add with its bits (below), which makes three invariances hold bit
 for bit (``tests/test_nnet.py`` checks each): a row scores the same alone as
 in any batch, at any offset, stride or memory order, so :func:`forward_batch`
 equals looped :func:`forward` at any thread count; zero-weight inputs
@@ -49,12 +50,21 @@ _ACTIVATIONS = {
 ACTIVATIONS = tuple(_ACTIVATIONS)
 MODEL_FORMAT_VERSION = 1
 
-# On a contiguous ``k`` run, einsum's reduction loop sums fixed groups of 8
-# and then a tail; with ``k`` padded to a multiple of 8 there is no tail, so
-# appended zero columns only add groups of exact zeros.  Strided or
-# Fortran-ordered operands take another loop, hence the copy to C order.
-# Sweeps score ``_ROWS``-row blocks over one workspace per thread.
+# On a contiguous ``k`` run, einsum's reduction loop sums fixed groups of 8,
+# each pair by pair into two lanes and last pair first, then the tail pair by
+# pair, first pair first.  A tail of 1 or 2 columns puts at most one term in
+# each lane, where a zero-padded group would add it; a tail of 3 to 7 is
+# padded to a whole group (_padded), so appended zero columns only add groups
+# of exact zeros.  Strided or Fortran-ordered operands take another loop,
+# hence the copy to C order.  Sweeps score ``_ROWS``-row blocks over one
+# workspace per thread.
 _ROWS = 1024
+
+
+def _padded(k: int) -> int:
+    """Columns of a layer input ``k`` wide: ``k`` padded to a multiple of 8,
+    unless whole groups of 8 leave at most 2 over."""
+    return k if k % 8 <= 2 else k + -k % 8
 
 
 @dataclass(frozen=True)
@@ -125,8 +135,8 @@ def init_network(arch: NetworkArchitecture, seed: int, scale: float) -> FeedForw
     output weights +0.0, not the all-zero net, a saddle at which no gradient
     reaches a weight.  Identical arguments give bit-identical parameters.
     """
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
+    if not 0 <= scale < math.inf:  # also rejects nan
+        raise ValueError(f"scale must be a finite number >= 0, got {scale}")
     dims = arch.dims
     rng = SplitMix64(seed)
     weights, biases = [], []
@@ -188,7 +198,7 @@ def forward(net: FeedForwardNet, x: np.ndarray) -> float:
 class NetStack:
     """Nets of one input width, depth and activation, layer by layer: weights
     ``(members, out, in)`` and biases ``(members, out)``, zero-padded to the
-    widest member and ``in`` further to a multiple of 8."""
+    widest member and ``in`` further as :func:`_padded` pads it."""
 
     input_dim: int
     activation: str
@@ -226,7 +236,7 @@ def stack_nets(nets) -> list[tuple[NetStack, np.ndarray]]:
         for i in range(layers):
             out = max(net.weights[i].shape[0] for net in members)
             fan_in = max(net.weights[i].shape[1] for net in members)
-            w, b = np.zeros((len(members), out, fan_in + -fan_in % 8)), np.zeros((len(members), out))
+            w, b = np.zeros((len(members), out, _padded(fan_in))), np.zeros((len(members), out))
             for j, net in enumerate(members):
                 o, k = net.weights[i].shape
                 w[j, :o, :k], b[j, :o] = net.weights[i], net.biases[i] + 0.0  # -0 as +0
@@ -242,13 +252,11 @@ def forward_stacked(stack: NetStack, x: np.ndarray, work=None) -> np.ndarray:
     The one scoring kernel.  ``x`` is copied into the padded input of
     ``work``, a :meth:`NetStack.workspace` of at least ``len(x)`` rows (new if
     None); each layer is one einsum into its pre-activation buffer, the bias
-    added in place, and the activation written into the real columns of a
-    padded buffer whose pad columns stay zero.  With under half its columns
-    real (widths 1 to 3), that write goes unit by unit, one strided pass each,
-    not through numpy's buffered iterator in runs of a few columns; wider
-    layers write row by row, in place when no column is padding.  Each
-    member's contraction is its own contiguous 8-padded run followed by whole
-    groups of exact zeros, so column ``j`` has the bits of net ``j`` alone.
+    added in place, and the activation written row by row into the real
+    columns of a padded buffer whose pad columns stay zero, or in place when
+    no column is padding.  Each member's contraction is its own contiguous
+    run, padded as :func:`_padded` pads it alone, followed by exact zeros, so
+    column ``j`` has the bits of net ``j`` alone.
     A layer after the first whose stacked input is 1 or 2 columns wide skips
     the einsum: one ``np.multiply`` of input column 0 by weight column 0 into
     the buffer, plus column 1's product for width 2, then the bias.  Those
@@ -272,11 +280,8 @@ def forward_stacked(stack: NetStack, x: np.ndarray, work=None) -> np.ndarray:
             np.einsum(spec, act, w, out=out)
         out += b
         if i < len(hidden):
-            h, pad = w.shape[1], hidden[i].shape[2]
-            if 2 * h < pad:
-                activate(out.reshape(-1, h).T, out=hidden[i][:rows].reshape(-1, pad)[:, :h].T, order="C")
-            else:
-                activate(out, out=hidden[i][:rows, :, :h])
+            h = w.shape[1]
+            activate(out, out=hidden[i][:rows, :, :h])
             act, spec = hidden[i][:rows], "bjk,jok->bjo"
     return out[:, :, 0]
 
@@ -286,9 +291,9 @@ Gradients = tuple[list[np.ndarray], list[np.ndarray]]  # (weight grads, bias gra
 
 def _flat_params(dims: tuple[int, ...]):
     """A zeroed flat vector for the parameters of a net of layer widths ``dims``,
-    weights ``(out, in)`` zero-padded to a multiple of 8 columns, then biases;
+    weights ``(out, in)`` with ``in`` zero-padded by :func:`_padded`, then biases;
     and its views: the padded weights, and the real columns and the biases."""
-    shapes = [(o, k + -k % 8) for k, o in zip(dims, dims[1:])] + [(o,) for o in dims[1:]]
+    shapes = [(o, _padded(k)) for k, o in zip(dims, dims[1:])] + [(o,) for o in dims[1:]]
     sizes = [math.prod(shape) for shape in shapes]
     flat = np.zeros(sum(sizes))
     views = [v.reshape(shape) for v, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
@@ -315,18 +320,12 @@ def _train_workspace(net: FeedForwardNet, batch: int) -> TrainWorkspace:
     for p, q in zip(params, net.weights + net.biases):
         p[...] = q
     wide = [np.empty((k, o)) if o > k else None for k, o in zip(dims, dims[1:])]
-    # einsum picks its loop by the operands' strides, and a one-column view of
-    # a padded array is strided along the axis that an unpadded one-column
-    # array holds contiguous: so a layer input one column wide (one feature, or
-    # a one-unit hidden layer), and the weights that read it, enter the
-    # backward pass as copies
-    narrow = [k == 1 for k in dims[:-1]]
     z = [np.empty((batch, o)) for o in dims[1:-1]]
-    padded = [np.zeros((batch, k + -k % 8)) for k in dims[:-1]]
+    padded = [np.zeros((batch, _padded(k))) for k in dims[:-1]]
     acts = [buf[:, :k] for buf, k in zip(padded, dims)]
     layers = len(weights)
     return TrainWorkspace(theta, grad, params, grads, (weights, params[layers:], z, padded, acts, activate),
-                          (acts, params[:layers], grads[:layers], grads[layers:], wide, narrow, derivative))
+                          (acts, params[:layers], grads[:layers], grads[layers:], wide, derivative))
 
 
 def _forward_cached(work: TrainWorkspace, x: np.ndarray, out: np.ndarray) -> None:
@@ -359,12 +358,10 @@ def _backprop_core(work: TrainWorkspace, delta: np.ndarray) -> None:
       ``theta`` only as ``t - lr * (±0)`` at ``t = -0``, and no ``t`` is -0:
       init and widening make none, and ``t - lr * g`` makes one only from -0.
     """
-    acts, weights, grad_w, grad_b, wide, narrow, derivative = work.bwd
+    acts, weights, grad_w, grad_b, wide, derivative = work.bwd
     last = len(weights) - 1
     for i in range(last, -1, -1):
         a, w = acts[i], weights[i]
-        if narrow[i]:
-            a, w = a.copy(), w.copy()
         if wide[i] is None:
             np.einsum("mo,mh->oh", delta, a, out=grad_w[i])
         else:

@@ -154,8 +154,9 @@ MEMBERS = st.lists(
     ),
     min_size=1, max_size=12,
 )
-# more rows than any ensemble's block holds: a block has at most 2**16 // 8 rows
-CROSSING = baselines._STACK_FLOATS // 8 + 5
+# more rows than any ensemble's block holds: a block's terms and widest buffer
+# take at least 2 + 1 floats a row, so it has at most 2**16 // 3 rows
+CROSSING = baselines._STACK_FLOATS // 3 + 5
 
 
 class TestStackedEnsemble:

@@ -107,8 +107,9 @@ class TestInit:
             assert a.tobytes() == b.tobytes()
         x = SplitMix64(4).normal_block(20 * 5).reshape(20, 5)
         assert forward_batch(zero, x).tobytes() == np.zeros(20).tobytes()
-        with pytest.raises(ValueError, match="scale"):
-            init_network(arch, 11, -1e-300)
+        for scale in (-1e-300, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="scale"):
+                init_network(arch, 11, scale)
 
     def test_deterministic(self):
         arch = NetworkArchitecture(10, (32,))
@@ -204,7 +205,7 @@ class TestForwardBatch:
         net = init_network(NetworkArchitecture(10, hidden), 3, 1.0)
         x = normals(6, m, 10)
         dims = net.architecture.dims
-        pad = lambda k: k + -k % 8
+        pad = lambda k: k + -k % 8  # never fewer columns than nnet pads to
         weights = sum(o * pad(k) + o for k, o in zip(dims, dims[1:]))
         # padded input, each layer's pre-activations, each hidden layer padded
         workspace = _ROWS * (pad(dims[0]) + sum(dims[1:]) + sum(pad(h) for h in hidden))
@@ -215,9 +216,9 @@ class TestForwardBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # per thread, also numpy's buffer for the hidden-9 activation, which is
-        # written row by row into the strided real columns of a padded buffer
-        # (widths 1 to 3 write unit by unit, multiples of 8 in place); 32 KiB
+        # per thread, also room for numpy's buffer, which an activation written
+        # row by row into the strided real columns of a padded buffer takes
+        # (here 32 and 9 have no pad columns and activate in place); 32 KiB
         # for the interpreter's own objects: frames, the pool, its futures
         bound = 8 * (m + weights + threads * (workspace + np.getbufsize())) + 2**15
         assert peak <= bound, f"peak {peak / 2**10:.0f} KiB over {bound / 2**10:.0f} KiB"
@@ -253,8 +254,9 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(bits(a), bits(b))
 
 
-# multiples of 8 need no padding copy, so only the contiguity step reorders them
-WIDTHS = st.one_of(st.integers(1, 26).map(lambda n: 8 * n), st.integers(1, 210))
+# widths 8n to 8n + 2 need no padding copy, so only the contiguity step reorders them
+WIDTHS = st.one_of(st.tuples(st.integers(1, 26), st.integers(0, 2)).map(lambda t: 8 * t[0] + t[1]),
+                   st.integers(1, 210))
 
 
 def test_importing_the_cli_loads_no_thread_pool():
@@ -288,9 +290,30 @@ def assert_same_layers(got, expected):
         assert_same_bits(a, b)
 
 
+def signed_zeros(a, seed):
+    """``a`` with about a fifth of its entries +0 and a fifth -0."""
+    u = SplitMix64(seed).uniform_block(a.size).reshape(a.shape)
+    return np.where(u < 0.2, 0.0, np.where(u > 0.8, -0.0, a))
+
+
 class TestKernelContract:
     """The invariances the ``nnet`` docstring guarantees, compared bit for bit
     in the scoring kernel and in the training kernel's forward pass."""
+
+    def test_einsum_sums_a_tail_of_one_or_two_columns_as_a_padded_group(self):
+        # the premise of nnet._padded, which pads only widths 8n + 3 to 8n + 7:
+        # einsum's contiguous reduction adds 1 or 2 columns after whole groups
+        # of 8 where a group padded with zeros would add them.  Entries reach
+        # 2**-60 and 2**60, so the order of a sum shows in its bits
+        for k in (k for k in range(1, 41) if k % 8 <= 2):
+            x = signed_zeros(normals(k, 32, k) * np.exp2(np.rint(20 * normals(k + 50, 32, k))), k + 100)
+            w = signed_zeros(normals(k + 150, 2, 4, k), k + 200)
+            pad = lambda a: np.concatenate([a, np.zeros((*a.shape[:-1], -k % 8))], axis=-1)
+            for spec, a, b in (("bk,ok->bo", x, w[0]), ("bk,jok->bjo", x, w),
+                               ("bjk,jok->bjo", x.reshape(16, 2, k), w)):
+                assert np.einsum(spec, a, b).tobytes() == np.einsum(spec, pad(a), pad(b)).tobytes(), (
+                    f"einsum {spec!r} sums {k} columns in another order than {k} zero-padded to a "
+                    "multiple of 8, so nnet._padded must pad this width too")
 
     @settings(max_examples=30, deadline=None)
     @given(rows=st.integers(1, 12), k=WIDTHS, out=st.integers(1, 20), seed=st.integers(0, 2**32))
@@ -361,8 +384,9 @@ class TestStackedForward:
     @given(
         d=st.integers(1, 20),
         depth=st.integers(0, 2),
-        # widths 1 to 3 take forward_stacked's unit-by-unit activation write
-        widths=st.lists(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 17]), min_size=2, max_size=2),
+        # widths 3 to 7 activate into a padded buffer, the others in place;
+        # 10 and 18 leave two columns after whole groups of 8, which no pad follows
+        widths=st.lists(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 17, 18]), min_size=2, max_size=2),
                         min_size=1, max_size=3),
         activation=st.sampled_from(["tanh", "relu"]),
         rows=st.sampled_from([0, 1, 5, _ROWS + 3]),
@@ -374,6 +398,10 @@ class TestStackedForward:
     # a dead unit feeding a negative output weight: the product is -0, and
     # with a -0 output bias only einsum's +0 start gives the oracle's +0
     @example(d=3, depth=1, widths=[[1, 1]], activation="relu", rows=5, layout="C", threads=1, seed=1, dead=True)
+    # 11 input columns, which take pad columns, then hidden 10 and 18 in one
+    # stack, which take none
+    @example(d=11, depth=1, widths=[[10, 10], [18, 18]], activation="tanh", rows=5, layout="C", threads=1, seed=1,
+             dead=False)
     def test_every_path_equals_the_plain_numpy_oracle(self, d, depth, widths, activation, rows, layout, threads,
                                                        seed, dead):
         # the nets of a stack share their depth; widths differ from net to net.
@@ -407,7 +435,7 @@ class TestStackedForward:
     @pytest.mark.parametrize("widths", [[(2, 3), (1, 2)], [(3, 5), (2, 9)], [(6, 16), (4, 1)]])
     def test_a_shorter_block_on_a_used_workspace_leaves_the_pad_columns_zero(self, widths, activation):
         # the next layer's einsum reads the pad columns as exact zeros; the
-        # widths take the unit-by-unit, the row-by-row and the in-place write
+        # widths take the row-by-row and the in-place write
         nets = [random_net(3 * j, 6, hidden) for j, hidden in enumerate(widths)]
         nets = [FeedForwardNet(NetworkArchitecture(6, net.architecture.hidden_layers, activation),
                                net.weights, net.biases) for net in nets]
@@ -432,7 +460,7 @@ class TestStackedForward:
         stack = groups[0][0]
         assert [w.shape for w in stack.weights] == [(2, 12, 8), (2, 1, 16)]
         assert stack.row_floats == 2 * 16
-        assert stack_nets([init_network(NetworkArchitecture(130), 0, 1.0)])[0][0].row_floats == 136
+        assert stack_nets([init_network(NetworkArchitecture(130), 0, 1.0)])[0][0].row_floats == 130
         with pytest.raises(ShapeError):
             forward_stacked(stack, np.zeros((2, 5)))
 
@@ -597,12 +625,13 @@ class TestWiden:
             widen(init_network(NetworkArchitecture(2, (3,)), 0, 1.0), 0, seed=0)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("width", [1, 2, 9, 10])
     def test_widening_across_the_multiply_add_boundary_keeps_the_bits(self, width, activation):
         # an output layer reading 1 or 2 hidden units is scored by multiply-add,
-        # one reading 3 by the einsum.  The first unit is dead (zero incoming
-        # weights, -0 biases) and every output weight negative, so the output
-        # sums a -0 product
+        # one reading 3 by the einsum; 9 to 10 keeps the einsum's input
+        # unpadded and 10 to 11 pads it to 16 columns.  The first unit is dead
+        # (zero incoming weights, -0 biases) and every output weight negative,
+        # so the output sums a -0 product
         net = init_network(NetworkArchitecture(3, (width,), activation), 5, 1.0)
         net.weights[0][0] = 0.0
         net.weights[1][...] = -np.abs(net.weights[1])
