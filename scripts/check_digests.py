@@ -138,8 +138,8 @@ COMMANDS = (
                "--batch 1 --sgd-steps 200 --seed 42"),
     ("bigbatch", "train --data data.csv --out-model bigbatch.json --metrics bigbatch.csv "
                  "--hidden 9,17 --T 3 --n 16 --batch 64 --sgd-steps 50 --seed 42"),
-    # one feature: the input layer's one-column rows enter the backward pass
-    # as copies, under no hidden layer (both algorithms) and under hidden 4,1
+    # one feature: the input layer reads an unpadded one-column buffer, under
+    # no hidden layer (both algorithms) and under hidden 4,1
     ("gen1", "gen-data --m 300 --d 1 --seed 2 --out data1.csv --teacher-out teacher1.json"),
     ("lin1", "train --data data1.csv --out-model lin1.json --metrics lin1.csv --hidden= --T 5 "
              "--sgd-steps 100 --seed 42"),

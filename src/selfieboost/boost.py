@@ -193,8 +193,7 @@ def cache_from_scores(raw_scores: np.ndarray, labels: np.ndarray) -> MarginCache
 def margins(net: FeedForwardNet, data: Dataset) -> MarginCache:
     """A net's scores on the dataset, from one forward sweep, as a cache.
     Non-finite scores raise :class:`NumericError`."""
-    with np.errstate(all="ignore"):  # overflow surfaces in the check below
-        scores = forward_batch(net, data.features)
+    scores = forward_batch(net, data.features)
     if not np.isfinite(scores).all():
         raise NumericError("network scores are non-finite")
     return cache_from_scores(scores, data.labels)

@@ -78,8 +78,9 @@ def gen_realizable(
     redrawn (total attempt cap ``100 * m``); the teacher's output layer is
     then rescaled by ``1/tau`` so every margin is at least 1.
     """
-    if not 0 < tau <= sys.float_info.max:  # also rejects nan and inf
-        raise ValueError(f"tau must be a finite number > 0, got {tau}")
+    # also rejects nan, inf and a tau below about 5.6e-309, whose 1/tau is inf
+    if not (0 < tau <= sys.float_info.max and 1.0 / tau <= sys.float_info.max):
+        raise ValueError(f"tau must be a finite number > 0 with a finite reciprocal, got {tau}")
     if teacher_arch.input_dim != d:
         raise ValueError(f"teacher input_dim {teacher_arch.input_dim} != d {d}")
     if m < 1:

@@ -246,43 +246,44 @@ def stack_nets(nets) -> list[tuple[NetStack, np.ndarray]]:
     return stacks
 
 
-def forward_stacked(stack: NetStack, x: np.ndarray, work=None) -> np.ndarray:
+def forward_stacked(stack: NetStack, x: np.ndarray, work: tuple) -> np.ndarray:
     """Scores of every stacked net for every row of ``x``, shape ``(rows, members)``.
 
     The one scoring kernel.  ``x`` is copied into the padded input of
-    ``work``, a :meth:`NetStack.workspace` of at least ``len(x)`` rows (new if
-    None); each layer is one einsum into its pre-activation buffer, the bias
-    added in place, and the activation written row by row into the real
-    columns of a padded buffer whose pad columns stay zero, or in place when
-    no column is padding.  Each member's contraction is its own contiguous
-    run, padded as :func:`_padded` pads it alone, followed by exact zeros, so
-    column ``j`` has the bits of net ``j`` alone.
-    A layer after the first whose stacked input is 1 or 2 columns wide skips
-    the einsum: one ``np.multiply`` of input column 0 by weight column 0 into
-    the buffer, plus column 1's product for width 2, then the bias.  Those
-    are the einsum's only nonzero products, summed with one rounding.  Their
-    sum can be -0, which the einsum never gives, but -0 plus a bias that is
-    not -0 (:func:`stack_nets` stores none) is never -0.  Returns a view into
-    ``work``.
+    ``work``, a :meth:`NetStack.workspace` of at least ``len(x)`` rows; each
+    layer is one einsum into its pre-activation buffer, the bias added in
+    place, and the activation written into the real columns of a padded
+    buffer whose pad columns stay zero, or in place when no column is
+    padding.  Each member's contraction is its own contiguous run, padded as
+    :func:`_padded` pads it alone, then exact zeros, so column ``j`` has the
+    bits of net ``j`` alone.  A layer after the first whose stacked input is
+    1 or 2 columns wide is instead one ``np.multiply`` of input column 0 by
+    weight column 0, plus column 1's product for width 2, then the bias: the
+    einsum's only nonzero products, summed with one rounding, and a -0 sum
+    plus a bias that is not -0 (:func:`stack_nets` stores none) is not -0.
+    The layers run under ``np.errstate(all="ignore")``, set here since
+    numpy's mode is per thread, so an overflow is as silent at every width
+    and in every thread as the einsum's.  Returns a view into ``work``.
     """
     x, rows = _check_batch(stack.input_dim, x), len(x)
-    inputs, z, hidden = stack.workspace(rows) if work is None else work
+    inputs, z, hidden = work
     inputs[:rows, : stack.input_dim] = x
     activate = _ACTIVATIONS[stack.activation][0]
     act, spec = inputs[:rows], "bk,jok->bjo"
-    for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
-        out = z[i][:rows]
-        if i and h <= 2:  # h: the previous layer's width
-            np.multiply(act[:, :, 0, None], w[:, :, 0], out=out)
-            if h == 2:
-                out += act[:, :, 1, None] * w[:, :, 1]
-        else:
-            np.einsum(spec, act, w, out=out)
-        out += b
-        if i < len(hidden):
-            h = w.shape[1]
-            activate(out, out=hidden[i][:rows, :, :h])
-            act, spec = hidden[i][:rows], "bjk,jok->bjo"
+    with np.errstate(all="ignore"):
+        for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
+            out = z[i][:rows]
+            if i and h <= 2:  # h: the previous layer's width
+                np.multiply(act[:, :, 0, None], w[:, :, 0], out=out)
+                if h == 2:
+                    out += act[:, :, 1, None] * w[:, :, 1]
+            else:
+                np.einsum(spec, act, w, out=out)
+            out += b
+            if i < len(hidden):
+                h = w.shape[1]
+                activate(out, out=hidden[i][:rows, :, :h])
+                act, spec = hidden[i][:rows], "bjk,jok->bjo"
     return out[:, :, 0]
 
 

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from selfieboost.cli import main
 from selfieboost.data import Dataset, gen_realizable, load_csv
 from selfieboost.errors import ModelFormatError, ModelVersionError, NoWeakLearnerError, ShapeError
 from selfieboost.nnet import (
+    _ROWS,
     ACTIVATIONS,
     FeedForwardNet,
     NetworkArchitecture,
@@ -130,6 +132,39 @@ class TestEnsemblePredict:
         assert report.total_params_evaluated == 10 * 3
 
 
+def overflowing_relu_net(width):
+    """On the row (1, 1) each hidden unit is 2e300; the output weights of 1e10 overflow the score."""
+    return FeedForwardNet(NetworkArchitecture(2, (width,), "relu"),
+                          [np.full((width, 2), 1e300), np.full((1, width), 1e10)],
+                          [np.zeros(width), np.zeros(1)])
+
+
+class TestScoringNeverWarns:
+    # the scoring kernel sets its own floating-point mode, so the output layer
+    # after one or two units (a multiply-add) overflows as silently as after
+    # three (an einsum), in the caller's thread and in each pool worker
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_an_overflowing_score_is_inf_without_a_warning(self, width, threads):
+        net = overflowing_relu_net(width)
+        x = np.ones((2 * _ROWS if threads > 1 else 1, 2))
+        model = EnsembleModel(members=(net, net), alphas=(1.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = forward_batch(net, x, threads)
+            votes = ensemble_predict_batch(model, x)
+        assert np.all(scores == math.inf) and np.all(votes == 1.0)
+
+    def test_adaboost_on_a_row_with_a_1e308_feature(self):
+        # check_digests.py's ovfdata.csv: a member's score on the first row
+        # overflows in the round's sweep
+        data = Dataset(np.array([[1e308, 1.0], [-1.5, 1.0], [0.5, -2.0]]), np.array([1.0, -1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_adaboost(data, BoostConfig(T=2, seed=1, hidden=(2,), activation="relu"))
+            assert len(result.rounds) == 2 and ensemble_err(result.model, data) == 0.0
+
+
 def oracle_predict(model, features):
     """The per-member loop that stacked scoring replaced: one forward_batch
     per member, votes added in member order."""
@@ -168,7 +203,7 @@ class TestStackedEnsemble:
         model = EnsembleModel(members=tuple(nets), alphas=tuple(a for _, _, a in members))
         x = SplitMix64(seed ^ 0xE75).normal_block(rows * d).reshape(rows, d)
         for stack, positions in stack_nets(nets):
-            scores = forward_stacked(stack, x)
+            scores = forward_stacked(stack, x, stack.workspace(len(x)))
             for i, j in enumerate(positions):
                 assert scores[:, i].tobytes() == forward_batch(nets[j], x).tobytes()
         assert ensemble_predict_batch(model, x).tobytes() == oracle_predict(model, x).tobytes()
@@ -190,7 +225,7 @@ class TestStackedEnsemble:
         assert len(model.members) == 50 and x.shape == (2000, 10)
         assert {net.architecture.hidden_layers for net in model.members} == {(2,)}
         (stack, positions), = model.groups
-        scores = forward_stacked(stack, x)
+        scores = forward_stacked(stack, x, stack.workspace(len(x)))
         for i, j in enumerate(positions):
             assert scores[:, i].tobytes() == sgd_oracle.scores(model.members[j], x).tobytes()
         assert ensemble_predict_batch(model, x).tobytes() == oracle_predict(model, x).tobytes()

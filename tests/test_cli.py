@@ -323,15 +323,18 @@ class TestCompare:
         assert lines[2].startswith("adaboost,")
 
     def test_identical_seeds_identical_tables(self, workdir, tmp_path, capsys):
-        argv = lambda p: [
-            "compare", "--data", str(workdir / "data.csv"), "--out", str(p),
+        # the third run has no --out and writes the table to stdout
+        argv = lambda *out: [
+            "compare", "--data", str(workdir / "data.csv"), *out,
             "--T", "4", "--n", "64", "--hidden", "8", "--sgd-steps", "150",
             "--batch", "16", "--seed", "4",
         ]
-        assert main(argv(tmp_path / "c1.csv")) == EXIT_OK
-        assert main(argv(tmp_path / "c2.csv")) == EXIT_OK
+        assert main(argv("--out", str(tmp_path / "c1.csv"))) == EXIT_OK
+        assert main(argv("--out", str(tmp_path / "c2.csv"))) == EXIT_OK
         assert (tmp_path / "c1.csv").read_bytes() == (tmp_path / "c2.csv").read_bytes()
-        capsys.readouterr()
+        assert capsys.readouterr().out == ""
+        assert main(argv()) == EXIT_OK
+        assert capsys.readouterr().out.encode() == (tmp_path / "c1.csv").read_bytes()
 
 
 class TestEntryPoint:

@@ -385,7 +385,7 @@ def test_non_finite_option_is_usage_error_before_work(tmp_path, capsys, flag, ke
     assert key in err and out == "" and not metrics.exists()
 
 
-@pytest.mark.parametrize("tau", ["nan", "inf"])
+@pytest.mark.parametrize("tau", ["nan", "inf", "1e-320"])
 def test_non_finite_tau_is_usage_error_before_work(tmp_path, capsys, tau):
     code = main(["gen-data", "--m", "5", "--d", "2", "--seed", "1", "--tau", tau,
                  "--out", str(tmp_path / "d.csv"), "--teacher-out", str(tmp_path / "t.json")])

@@ -72,8 +72,8 @@ def test_the_sgd_blow_up_runs_write_the_committed_bytes(tmp_path, monkeypatch):
 
 
 def test_the_one_feature_runs_write_the_committed_bytes(tmp_path, monkeypatch):
-    # a linear net on one feature: the input layer's one-column rows enter
-    # the backward pass as copies, in SelfieBoost and in plain SGD
+    # a linear net on one feature: the input layer reads an unpadded
+    # one-column buffer, in SelfieBoost and in plain SGD
     assert_committed_bytes(tmp_path, monkeypatch, ("gen1", "lin1", "linsgd1"), [], 9)
 
 

@@ -201,14 +201,17 @@ class TestForwardBatch:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_memory_is_the_output_plus_one_workspace_per_thread(self, threads):
-        m, hidden = 4096, (32, 9)
-        net = init_network(NetworkArchitecture(10, hidden), 3, 1.0)
+        m = 4096
+        net = init_network(NetworkArchitecture(10, (32, 9)), 3, 1.0)
         x = normals(6, m, 10)
-        dims = net.architecture.dims
-        pad = lambda k: k + -k % 8  # never fewer columns than nnet pads to
-        weights = sum(o * pad(k) + o for k, o in zip(dims, dims[1:]))
-        # padded input, each layer's pre-activations, each hidden layer padded
-        workspace = _ROWS * (pad(dims[0]) + sum(dims[1:]) + sum(pad(h) for h in hidden))
+        ((stack, _),) = stack_nets([net])
+        weights = sum(a.nbytes for a in stack.weights + stack.biases)
+        # the input, each layer's pre-activations and each hidden layer's
+        # activations, counted once where a layer activates in place: as no
+        # layer input (10, 32, 9) is padded, one row of floats per layer width
+        inputs, z, hidden = stack.workspace(_ROWS)
+        workspace = sum({id(a): a.nbytes for a in (inputs, *z, *hidden)}.values())
+        assert workspace == 8 * _ROWS * sum(net.architecture.dims)
         forward_batch(net, x, threads)  # the thread pool's first import is not the sweep's
         tracemalloc.start()
         try:
@@ -216,11 +219,10 @@ class TestForwardBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # per thread, also room for numpy's buffer, which an activation written
-        # row by row into the strided real columns of a padded buffer takes
-        # (here 32 and 9 have no pad columns and activate in place); 32 KiB
-        # for the interpreter's own objects: frames, the pool, its futures
-        bound = 8 * (m + weights + threads * (workspace + np.getbufsize())) + 2**15
+        # per thread, also numpy's ufunc buffer, which adding a bias broadcast
+        # over the rows takes; 32 KiB for the interpreter's own objects:
+        # frames, the pool, its futures
+        bound = 8 * (m + threads * np.getbufsize()) + weights + threads * workspace + 2**15
         assert peak <= bound, f"peak {peak / 2**10:.0f} KiB over {bound / 2**10:.0f} KiB"
 
     @pytest.mark.parametrize("hidden", [(), (1,), (8,), (9, 17)])
@@ -230,7 +232,7 @@ class TestForwardBatch:
             b[...] = normals(k, *b.shape)
         stacks = []
 
-        def recording(stack, x, work=None):
+        def recording(stack, x, work):
             stacks.append(stack)
             return forward_stacked(stack, x, work)
 
@@ -422,7 +424,7 @@ class TestStackedForward:
         x = normals(seed ^ 0x5EED, rows, 2 * d)
         x = {"C": np.ascontiguousarray(x[:, :d]), "F": np.asfortranarray(x[:, :d]), "strided": x[:, ::2]}[layout]
         (stack, positions), = stack_nets(nets)
-        stacked = forward_stacked(stack, x)
+        stacked = forward_stacked(stack, x, stack.workspace(len(x)))
         assert stacked.shape == (rows, len(nets))
         for i, net in enumerate(nets):
             expected = sgd_oracle.scores(net, x)
@@ -462,7 +464,7 @@ class TestStackedForward:
         assert stack.row_floats == 2 * 16
         assert stack_nets([init_network(NetworkArchitecture(130), 0, 1.0)])[0][0].row_floats == 130
         with pytest.raises(ShapeError):
-            forward_stacked(stack, np.zeros((2, 5)))
+            forward_stacked(stack, np.zeros((2, 5)), stack.workspace(2))
 
 
 class TestBackprop:
@@ -510,7 +512,7 @@ class TestGradCheck:
 
     # two hidden layers make backprop read a derivative below the first one;
     # layers wider than their input take the transposed weight gradient, and
-    # the layer after a one-unit layer reads copies of its one-column views
+    # the layer after a one-unit layer reads an unpadded one-column buffer
     @pytest.mark.parametrize("hidden", [(8,), (7, 4), (1,), (4, 1, 3)], ids=["8", "7-4", "1", "4-1-3"])
     def test_random_tanh_net(self, hidden):
         net = init_network(NetworkArchitecture(5, hidden), 123, 1.0)
@@ -523,7 +525,7 @@ class TestGradCheck:
         x = SplitMix64(13).normal_block(6)
         assert grad_check(net, x, 1e-4) <= 1e-6
 
-    # one feature: the input's one-column view enters the backward pass as a copy
+    # one feature: the input is an unpadded one-column buffer in the backward pass
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_one_feature_net(self, activation):
         net = init_network(NetworkArchitecture(1, (4, 1), activation), 5, 1.0)
