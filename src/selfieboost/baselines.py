@@ -175,9 +175,11 @@ def ensemble_predict_batch(model: EnsembleModel, features: np.ndarray) -> np.nda
     :func:`forward_stacked` call over a workspace kept for the call, which
     gives every member its ``forward_batch`` bits.  The ``alpha * vote`` terms
     are member-major rows after a row of zeros, filled as ``±alpha`` (exactly
-    ``alpha * ±1.0``; a score of 0 votes -1), and each row's total is summed
-    one by one in member order (``add.accumulate`` down the member axis is
-    sequential, unlike ``sum``), so it has the bits of a per-member loop.
+    ``alpha * ±1.0``; a score of 0 votes -1).  ``add.reduce`` down the member
+    axis of a block at least 2 columns wide adds one member row at a time to
+    +0.0, in member order, so each row's total has the bits of a per-member
+    loop; one column alone would be summed pairwise, so a 1-row block is
+    summed beside a spare column whose total is dropped.
     Blocks are sized so that a block of terms and the widest workspace buffer
     together hold at most ``_STACK_FLOATS`` floats unless one row exceeds it.
     """
@@ -189,14 +191,14 @@ def ensemble_predict_batch(model: EnsembleModel, features: np.ndarray) -> np.nda
     rows = max(1, _STACK_FLOATS // (width + max(stack.row_floats for stack, _ in model.groups)))
     groups = [(stack, positions + 1, alphas[positions], stack.workspace(min(rows, m)))
               for stack, positions in model.groups]
-    terms, totals = np.zeros((width, min(rows, m))), np.empty((width, min(rows, m)))
+    terms = np.zeros((width, max(2, min(rows, m))))
     preds = np.empty(m)
     for k in range(0, m, rows):
         block = features[k : k + rows]
         n = block.shape[0]
         for stack, members, alpha, buffers in groups:
             terms[members, :n] = np.where(forward_stacked(stack, block, buffers) > 0.0, alpha, -alpha).T
-        preds[k : k + n] = _vote_sum_sign(np.add.accumulate(terms[:, :n], axis=0, out=totals[:, :n])[-1])
+        preds[k : k + n] = _vote_sum_sign(np.add.reduce(terms[:, : max(n, 2)], axis=0)[:n])
     return preds
 
 

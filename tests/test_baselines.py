@@ -232,15 +232,49 @@ class TestStackedEnsemble:
 
     def test_votes_are_summed_one_by_one_in_member_order(self):
         # 1e16 + 1 rounds back to 1e16, so a sequential sum loses every 1.0 and
-        # ends at -2, while numpy's pairwise sum of the 9 terms would end at +4
+        # ends at -2, while numpy's pairwise sum of the 9 terms would end at +4.
+        # A block of one row, alone or the last of several, is the case where
+        # a reduce down the member axis would be pairwise
         up, down = linear_net([1.0]), linear_net([-1.0])
         arch = NetworkArchitecture(1, (3,), "relu")
         deep_up = FeedForwardNet(arch, [np.zeros((3, 1)), np.zeros((1, 3))], [np.ones(3), np.ones(1)])
         members = (up, up, up, deep_up, up, deep_up, up, down)
         model = EnsembleModel(members=members, alphas=(1e16, *[1.0] * 6, 1e16 + 2))
-        x = np.ones((3, 1))
-        np.testing.assert_array_equal(ensemble_predict_batch(model, x), [-1.0] * 3)
-        np.testing.assert_array_equal(oracle_predict(model, x), [-1.0] * 3)
+        block = baselines._STACK_FLOATS // (len(members) + 1 + max(s.row_floats for s, _ in model.groups))
+        for rows in (3, 1, block + 1):
+            x = np.ones((rows, 1))
+            np.testing.assert_array_equal(ensemble_predict_batch(model, x), [-1.0] * rows)
+            np.testing.assert_array_equal(oracle_predict(model, x), [-1.0] * rows)
+
+    def test_a_reduce_down_the_member_axis_adds_one_row_at_a_time(self):
+        # the premise of ensemble_predict_batch's vote totals: on a block at
+        # least 2 columns wide, contiguous or a column slice of a wider buffer,
+        # add.reduce down axis 0 adds row after row to +0.0, so behind the
+        # terms' leading row of +0.0 it ends where add.accumulate does.
+        # Entries span 2**-60 to 2**60 with planted +0 and -0, so the order of
+        # a sum shows in its bits
+        rng = SplitMix64(34)
+        scale = np.exp2(np.clip(np.rint(20 * rng.normal_block(65 * 440)), -60, 60))
+        u = rng.uniform_block(65 * 440)
+        wide = np.where(u < 0.1, 0.0, np.where(u > 0.9, -0.0, rng.normal_block(65 * 440) * scale))
+        wide = wide.reshape(65, 440)
+        wide[0] = 0.0
+        for rows in range(2, 66):
+            for cols in (*range(2, 71), 433, 434):
+                for a in (wide[:rows, :cols], np.ascontiguousarray(wide[:rows, :cols])):
+                    assert np.add.reduce(a, axis=0).tobytes() == np.add.accumulate(a, axis=0)[-1].tobytes(), (
+                        f"add.reduce down axis 0 of {rows} rows by {cols} columns does not add one row "
+                        "at a time, so ensemble_predict_batch's vote totals are not member-order sums")
+        # the leading +0.0 row matters only to a column of -0.0 ...
+        negative_zeros = np.full((3, 2), -0.0)
+        assert np.signbit(np.add.reduce(negative_zeros, axis=0)).tolist() == [False] * 2
+        assert np.signbit(np.add.accumulate(negative_zeros, axis=0)[-1]).tolist() == [True] * 2
+        # ... and one column alone is summed pairwise: +4 where the sequential
+        # sum is -2, so a block is never narrower than 2 columns
+        column = np.array([[0.0], [1e16], *[[1.0]] * 6, [-1e16 - 2]])
+        assert np.add.reduce(column, axis=0)[0] == 4.0 and np.add.accumulate(column, axis=0)[-1, 0] == -2.0, (
+            "add.reduce down axis 0 of 1 column is no longer pairwise; "
+            "ensemble_predict_batch's 2-column floor may be needless")
 
     def test_wrong_width_and_empty_inputs(self):
         model = EnsembleModel(members=(linear_net([1.0, 2.0]),), alphas=(1.0,))
@@ -290,6 +324,33 @@ class TestStackedEnsemble:
         # output, stacked weights, and a few temporaries of at most the budget each
         bound = 8 * m + stacked + 4 * 8 * baselines._STACK_FLOATS
         assert peak <= bound, f"peak {peak / 2**20:.2f} MiB over {bound / 2**20:.2f} MiB"
+
+    def test_memory_at_the_ensemble_workloads_shape(self):
+        # 50 members of hidden width 2 on 2000 rows of 10 features, scored in
+        # blocks of 434 rows
+        m, d, width = 2000, 10, 51
+        nets = tuple(random_member(d, (2,), "tanh", j) for j in range(width - 1))
+        model = EnsembleModel(members=nets, alphas=(1.0,) * (width - 1))
+        (stack, _), = model.groups
+        rows = baselines._STACK_FLOATS // (width + stack.row_floats)
+        assert rows == 434
+        inputs, z, hidden = stack.workspace(rows)
+        workspace = sum({id(a): a.nbytes for a in (inputs, *z, *hidden)}.values())
+        x = SplitMix64(3).normal_block(m * d).reshape(m, d)
+        ensemble_predict_batch(model, x)
+        tracemalloc.start()
+        try:
+            ensemble_predict_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, the terms, one workspace, and a block's np.where result
+        # with its mask; np.where takes one ufunc buffer for each of the
+        # broadcast ±alpha; 32 KiB for the interpreter's own objects.  One
+        # more (width, rows) buffer of floats is 173 KiB
+        where = 9 * rows * (width - 1) + 2 * 8 * np.getbufsize()
+        bound = 8 * m + 8 * width * rows + workspace + where + 2**15
+        assert peak <= bound, f"peak {peak / 2**10:.0f} KiB over {bound / 2**10:.0f} KiB"
 
 
 class TestPlainSgd:
