@@ -31,7 +31,6 @@ _BLOCK_NORMALS = 65536
 @dataclass(frozen=True)
 class DatasetProvenance:
     margin_floor: float
-    seed: int
     rejected: int = 0
 
 
@@ -125,7 +124,7 @@ def realize(
     dataset = Dataset(
         features,
         labels,
-        provenance=DatasetProvenance(margin_floor=floor, seed=seed, rejected=attempts - m),
+        provenance=DatasetProvenance(margin_floor=floor, rejected=attempts - m),
     )
     return dataset, teacher
 

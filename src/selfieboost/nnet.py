@@ -17,9 +17,10 @@ other products are exact zeros.  Only a zero's sign could differ, since
 einsum's sum starts at +0 and never gives -0, so :func:`stack_nets` stores
 each bias as ``b + 0.0`` (a -0 bias as +0), which changes no einsum sum.
 The SGD loop, :func:`backprop_batch` and :func:`grad_check` run the one
-training kernel, :func:`_forward_cached` and :func:`_backprop_core` on a
-``TrainWorkspace``, which, like the scoring kernel's workspace, copies the
-rows it is given into a padded input buffer.  Bit equality across CPU
+training kernel, :func:`_forward_cached` and :func:`_backprop_core`.  Both
+kernels' workspaces hold per layer a zero-padded input buffer, ``inputs``,
+and a pre-activation buffer, ``z``: the next input buffer where that has no
+pad columns, so the layer activates in place.  Bit equality across CPU
 architectures or numpy builds is not claimed.
 """
 
@@ -65,6 +66,17 @@ def _padded(k: int) -> int:
     """Columns of a layer input ``k`` wide: ``k`` padded to a multiple of 8,
     unless whole groups of 8 leave at most 2 over."""
     return k if k % 8 <= 2 else k + -k % 8
+
+
+Workspace = namedtuple("Workspace", "inputs z")
+
+
+def _workspace(rows: int, inputs, z) -> Workspace:
+    """A ``Workspace`` of ``rows`` rows by row shapes, the hidden layers' inputs first."""
+    hidden = [np.zeros((rows, *shape)) for shape in inputs[1:]]
+    z = [a if a is not None and a.shape[1:] == shape else np.empty((rows, *shape))
+         for a, shape in zip([*hidden, None], z)]
+    return Workspace([np.zeros((rows, *inputs[0])), *hidden], z)
 
 
 @dataclass(frozen=True)
@@ -211,15 +223,10 @@ class NetStack:
         members, _, input_floats = self.weights[0].shape
         return max(input_floats, members * max((w.shape[2] for w in self.weights[1:]), default=1))
 
-    def workspace(self, rows: int) -> tuple:
-        """Buffers for :func:`forward_stacked` on up to ``rows`` rows: the
-        zero-padded input, each layer's pre-activations, and each hidden
-        layer's activations, zero-padded like the next layer's weights (with
-        no pad columns, the pre-activations' own buffer, activated in place)."""
-        hidden = [np.zeros((rows, w.shape[0], w.shape[2])) for w in self.weights[1:]]
-        z = [a if a is not None and a.shape[2] == w.shape[1] else np.empty((rows, *w.shape[:2]))
-             for a, w in zip([*hidden, None], self.weights)]
-        return np.zeros((rows, self.weights[0].shape[2])), z, hidden
+    def workspace(self, rows: int) -> Workspace:
+        """:func:`forward_stacked`'s :func:`_workspace` for up to ``rows`` rows."""
+        w = self.weights
+        return _workspace(rows, [w[0].shape[2:], *(v.shape[::2] for v in w[1:])], [v.shape[:2] for v in w])
 
 
 def stack_nets(nets) -> list[tuple[NetStack, np.ndarray]]:
@@ -246,30 +253,29 @@ def stack_nets(nets) -> list[tuple[NetStack, np.ndarray]]:
     return stacks
 
 
-def forward_stacked(stack: NetStack, x: np.ndarray, work: tuple) -> np.ndarray:
+def forward_stacked(stack: NetStack, x: np.ndarray, work: Workspace) -> np.ndarray:
     """Scores of every stacked net for every row of ``x``, shape ``(rows, members)``.
 
-    The one scoring kernel.  ``x`` is copied into the padded input of
-    ``work``, a :meth:`NetStack.workspace` of at least ``len(x)`` rows; each
-    layer is one einsum into its pre-activation buffer, the bias added in
-    place, and the activation written into the real columns of a padded
-    buffer whose pad columns stay zero, or in place when no column is
-    padding.  Each member's contraction is its own contiguous run, padded as
-    :func:`_padded` pads it alone, then exact zeros, so column ``j`` has the
-    bits of net ``j`` alone.  A layer after the first whose stacked input is
-    1 or 2 columns wide is instead one ``np.multiply`` of input column 0 by
-    weight column 0, plus column 1's product for width 2, then the bias: the
-    einsum's only nonzero products, summed with one rounding, and a -0 sum
-    plus a bias that is not -0 (:func:`stack_nets` stores none) is not -0.
-    The layers run under ``np.errstate(all="ignore")``, set here since
-    numpy's mode is per thread, so an overflow is as silent at every width
-    and in every thread as the einsum's.  Returns a view into ``work``.
+    The one scoring kernel.  ``x`` is copied into ``work.inputs[0]``, ``work``
+    a :meth:`NetStack.workspace` of at least ``len(x)`` rows; each layer is
+    one einsum into its ``z``, the bias added in place, and the activation
+    written into the next input's real columns.  Each member's contraction is
+    its own contiguous run, padded as :func:`_padded` pads it alone, then
+    exact zeros, so column ``j`` has the bits of net ``j`` alone.  A layer
+    after the first whose stacked input is 1 or 2 columns wide is instead one
+    ``np.multiply`` of input column 0 by weight column 0, plus column 1's
+    product for width 2, then the bias: the einsum's only nonzero products,
+    summed with one rounding, and a -0 sum plus a bias that is not -0
+    (:func:`stack_nets` stores none) is not -0.  The layers run under
+    ``np.errstate(all="ignore")``, set here since numpy's mode is per thread,
+    so an overflow is as silent at every width and in every thread as the
+    einsum's.  Returns a view into ``work``.
     """
     x, rows = _check_batch(stack.input_dim, x), len(x)
-    inputs, z, hidden = work
-    inputs[:rows, : stack.input_dim] = x
+    inputs, z = work.inputs, work.z
+    inputs[0][:rows, : stack.input_dim] = x
     activate = _ACTIVATIONS[stack.activation][0]
-    act, spec = inputs[:rows], "bk,jok->bjo"
+    act, spec, last = inputs[0][:rows], "bk,jok->bjo", len(inputs) - 1
     with np.errstate(all="ignore"):
         for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
             out = z[i][:rows]
@@ -280,10 +286,10 @@ def forward_stacked(stack: NetStack, x: np.ndarray, work: tuple) -> np.ndarray:
             else:
                 np.einsum(spec, act, w, out=out)
             out += b
-            if i < len(hidden):
+            if i < last:
                 h = w.shape[1]
-                activate(out, out=hidden[i][:rows, :, :h])
-                act, spec = hidden[i][:rows], "bjk,jok->bjo"
+                activate(out, out=inputs[i + 1][:rows, :, :h])
+                act, spec = inputs[i + 1][:rows], "bjk,jok->bjo"
     return out[:, :, 0]
 
 
@@ -302,43 +308,39 @@ def _flat_params(dims: tuple[int, ...]):
     return flat, weights, [w[:, :k] for w, k in zip(weights, dims)] + views[len(weights) :]
 
 
-# The training kernel's state for one net and batch size: ``theta`` and
-# ``grad`` laid out by _flat_params, their views ``params`` and ``grads``
-# shaped like ``net.weights + net.biases``, and the buffers that
-# _forward_cached (``fwd``) and _backprop_core (``bwd``) use.
-TrainWorkspace = namedtuple("TrainWorkspace", "theta grad params grads fwd bwd")
+# The training kernel's state: ``theta`` and ``grad`` laid out by _flat_params,
+# their views ``params`` and ``grads`` shaped like ``net.weights + net.biases``,
+# the padded ``weights``, a _workspace's ``inputs`` and ``z``, the inputs' real
+# columns ``acts``, _backprop_core's ``wide``, the activation and derivative.
+TrainWorkspace = namedtuple("TrainWorkspace",
+                            "theta grad params grads weights inputs acts z wide activate derivative")
 
 
 def _train_workspace(net: FeedForwardNet, batch: int) -> TrainWorkspace:
-    """A ``TrainWorkspace`` for ``batch``-row batches, ``theta`` set to
-    ``net``'s parameters.  Each layer's input, the rows or the hidden
-    activations, goes to the real columns of a buffer whose pad columns stay
-    zero, as ``theta``'s and ``grad``'s do."""
-    activate, derivative = _ACTIVATIONS[net.architecture.activation]
+    """A ``TrainWorkspace`` for ``batch``-row batches, ``theta`` set to ``net``'s
+    parameters; pad columns stay zero in ``inputs``, ``theta`` and ``grad``."""
     dims = net.architecture.dims
     theta, weights, params = _flat_params(dims)
     grad, _, grads = _flat_params(dims)
     for p, q in zip(params, net.weights + net.biases):
         p[...] = q
     wide = [np.empty((k, o)) if o > k else None for k, o in zip(dims, dims[1:])]
-    z = [np.empty((batch, o)) for o in dims[1:-1]]
-    padded = [np.zeros((batch, _padded(k))) for k in dims[:-1]]
-    acts = [buf[:, :k] for buf, k in zip(padded, dims)]
-    layers = len(weights)
-    return TrainWorkspace(theta, grad, params, grads, (weights, params[layers:], z, padded, acts, activate),
-                          (acts, params[:layers], grads[:layers], grads[layers:], wide, derivative))
+    inputs, z = _workspace(batch, [(_padded(k),) for k in dims[:-1]], [(o,) for o in dims[1:-1]])
+    # an unpadded input is its own ``acts``, so that activating in place
+    # passes numpy one array, not a view whose overlap it checks per call
+    acts = [buf if buf.shape[1] == k else buf[:, :k] for buf, k in zip(inputs, dims)]
+    return TrainWorkspace(theta, grad, params, grads, weights, inputs, acts, z, wide,
+                          *_ACTIVATIONS[net.architecture.activation])
 
 
 def _forward_cached(work: TrainWorkspace, x: np.ndarray, out: np.ndarray) -> None:
-    """Scores into ``out``, shape ``(rows, 1)``, of the rows ``x``, copied into
-    the padded input of ``work``; the layer inputs stay in ``work`` for
-    :func:`_backprop_core`."""
-    weights, biases, z, padded, acts, activate = work.fwd
+    """Scores of the rows ``x`` into ``out``, shape ``(rows, 1)``; the layer inputs stay in ``work``."""
+    inputs, acts, z, activate = work.inputs, work.acts, work.z, work.activate
     acts[0][...] = x
     last = len(z)
-    for i, (w, b) in enumerate(zip(weights, biases)):
+    for i, (w, b) in enumerate(zip(work.weights, work.params[last + 1 :])):
         o = out if i == last else z[i]
-        np.einsum("bk,ok->bo", padded[i], w, out=o)
+        np.einsum("bk,ok->bo", inputs[i], w, out=o)
         o += b
         if i < last:
             activate(o, out=acts[i + 1])
@@ -359,17 +361,17 @@ def _backprop_core(work: TrainWorkspace, delta: np.ndarray) -> None:
       ``theta`` only as ``t - lr * (±0)`` at ``t = -0``, and no ``t`` is -0:
       init and widening make none, and ``t - lr * g`` makes one only from -0.
     """
-    acts, weights, grad_w, grad_b, wide, derivative = work.bwd
-    last = len(weights) - 1
-    for i in range(last, -1, -1):
-        a, w = acts[i], weights[i]
+    acts, params, grads, wide, derivative = work.acts, work.params, work.grads, work.wide, work.derivative
+    layers = len(wide)
+    for i in range(layers - 1, -1, -1):
+        a = acts[i]
         if wide[i] is None:
-            np.einsum("mo,mh->oh", delta, a, out=grad_w[i])
+            np.einsum("mo,mh->oh", delta, a, out=grads[i])
         else:
-            grad_w[i][...] = np.einsum("mo,mh->ho", delta, a, out=wide[i]).T
-        np.add.reduce(delta, axis=0, out=grad_b[i])
+            grads[i][...] = np.einsum("mo,mh->ho", delta, a, out=wide[i]).T
+        np.add.reduce(delta, axis=0, out=grads[layers + i])
         if i:
-            back = np.einsum("mo,oh->mh", delta, w) if i < last else delta * w
+            back = np.einsum("mo,oh->mh", delta, params[i]) if i < layers - 1 else delta * params[i]
             delta = back * derivative(a)
 
 
@@ -441,15 +443,14 @@ def grad_check(net: FeedForwardNet, x: np.ndarray, eps: float) -> float:
     work, score = _train_workspace(net, 1), np.empty((1, 1))
     _forward_cached(work, xb, score)
     _backprop_core(work, np.ones((1, 1)))
-    hidden = work.bwd[0][1:]
-    is_relu = net.architecture.activation == "relu"
+    hidden = work.acts[1:] if net.architecture.activation == "relu" else []
     worst = 0.0
     for p, grads in zip(work.params, work.grads):
         for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + eps
             _forward_cached(work, xb, score)
-            plus, on = score[0, 0], [h > 0.0 for h in hidden] if is_relu else ()
+            plus, on = score[0, 0], [h > 0.0 for h in hidden]
             p[idx] = orig - eps
             _forward_cached(work, xb, score)
             p[idx] = orig

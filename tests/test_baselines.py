@@ -334,8 +334,8 @@ class TestStackedEnsemble:
         (stack, _), = model.groups
         rows = baselines._STACK_FLOATS // (width + stack.row_floats)
         assert rows == 434
-        inputs, z, hidden = stack.workspace(rows)
-        workspace = sum({id(a): a.nbytes for a in (inputs, *z, *hidden)}.values())
+        work = stack.workspace(rows)
+        workspace = sum({id(a): a.nbytes for a in (*work.inputs, *work.z)}.values())
         x = SplitMix64(3).normal_block(m * d).reshape(m, d)
         ensemble_predict_batch(model, x)
         tracemalloc.start()

@@ -47,7 +47,6 @@ class TestGenRealizable:
     def test_rejection_metadata(self, generated):
         dataset, _ = generated
         assert dataset.provenance.rejected >= 0
-        assert dataset.provenance.seed == 11
 
     def test_impossible_dead_zone_raises(self):
         with pytest.raises(DegenerateTeacherError, match="exceeded 5000 attempts"):

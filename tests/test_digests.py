@@ -54,6 +54,12 @@ def test_the_scaled_start_writes_the_committed_bytes(tmp_path, monkeypatch):
     assert (tmp_path / "start.json").read_bytes() == (tmp_path / "relu.json").read_bytes()
 
 
+def test_the_widening_run_writes_the_committed_bytes(tmp_path, monkeypatch):
+    # hidden 16 widened by 4 units at a time on two threads, adopting nets of
+    # 28 to 84 units: widths 4 mod 8 take pad columns, 16 and 40 none
+    assert_committed_bytes(tmp_path, monkeypatch, ("gen", "widen"), [("widen.json", "data.csv")], 7)
+
+
 def test_the_hinge_sgd_runs_write_the_committed_bytes(tmp_path, monkeypatch):
     # hidden 2 (the ensemble workload) and hidden 32, whose first layer is
     # wider than its input

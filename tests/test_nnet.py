@@ -22,6 +22,7 @@ from selfieboost.nnet import (
     _ROWS,
     FeedForwardNet,
     _forward_cached,
+    _padded,
     _train_workspace,
     NetworkArchitecture,
     backprop_batch,
@@ -209,8 +210,8 @@ class TestForwardBatch:
         # the input, each layer's pre-activations and each hidden layer's
         # activations, counted once where a layer activates in place: as no
         # layer input (10, 32, 9) is padded, one row of floats per layer width
-        inputs, z, hidden = stack.workspace(_ROWS)
-        workspace = sum({id(a): a.nbytes for a in (inputs, *z, *hidden)}.values())
+        work = stack.workspace(_ROWS)
+        workspace = sum({id(a): a.nbytes for a in (*work.inputs, *work.z)}.values())
         assert workspace == 8 * _ROWS * sum(net.architecture.dims)
         forward_batch(net, x, threads)  # the thread pool's first import is not the sweep's
         tracemalloc.start()
@@ -283,7 +284,7 @@ def train_forward(net, x):
     layer's activations, then the scores."""
     work, scores = _train_workspace(net, len(x)), np.empty((len(x), 1))
     _forward_cached(work, x, scores)
-    return [a.copy() for a in work.bwd[0][1:]] + [scores[:, 0]]
+    return [a.copy() for a in work.acts[1:]] + [scores[:, 0]]
 
 
 def assert_same_layers(got, expected):
@@ -448,8 +449,7 @@ class TestStackedForward:
             stacked = forward_stacked(stack, x, work)
             for j, net in enumerate(nets):
                 assert_same_bits(stacked[:, positions[j]], sgd_oracle.scores(net, x))
-        _, _, hidden = work
-        for w, buf in zip(stack.weights, hidden):
+        for w, buf in zip(stack.weights, work.inputs[1:]):
             pad = buf[:, :, w.shape[1] :]
             assert pad.tobytes() == bytes(pad.nbytes)
 
@@ -465,6 +465,41 @@ class TestStackedForward:
         assert stack_nets([init_network(NetworkArchitecture(130), 0, 1.0)])[0][0].row_floats == 130
         with pytest.raises(ShapeError):
             forward_stacked(stack, np.zeros((2, 5)), stack.workspace(2))
+
+
+class TestWorkspaceLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 20), hidden=st.lists(WIDTHS, max_size=3))
+    def test_both_kernels_pad_the_same_columns(self, d, hidden):
+        net = init_network(NetworkArchitecture(d, hidden), 0, 1.0)
+        ((stack, _),) = stack_nets([net])
+        train, score = _train_workspace(net, 3), stack.workspace(3)
+        dims = net.architecture.dims
+        for i, k in enumerate(dims[:-1]):
+            assert train.inputs[i].shape[1] == score.inputs[i].shape[-1] == _padded(k)
+        for i, h in enumerate(hidden):
+            in_place = np.shares_memory(train.z[i], train.inputs[i + 1])
+            assert in_place == np.shares_memory(score.z[i], score.inputs[i + 1]) == (_padded(h) == h)
+
+    def test_the_training_workspace_holds_each_layer_input_once(self):
+        # per batch row, the floats of the padded layer inputs and nothing
+        # more: every hidden layer here activates in place
+        batch = 32
+        work = _train_workspace(init_network(NetworkArchitecture(10, (32, 9)), 0, 1.0), batch)
+        rows = {id(a): a for a in owners(tuple(work)) if a.ndim == 2 and a.shape[0] == batch}
+        assert sum(a.nbytes for a in rows.values()) == 8 * batch * (10 + 32 + 9)
+        # 20 units take 4 pad columns, so their pre-activations keep a buffer
+        work = _train_workspace(init_network(NetworkArchitecture(10, (20,)), 0, 1.0), batch)
+        separate = [z for z, a in zip(work.z, work.inputs[1:]) if not np.shares_memory(z, a)]
+        assert [z.shape for z in separate] == [(batch, 20)] and work.inputs[1].shape == (batch, 24)
+
+
+def owners(value):
+    """The arrays that own the memory of the arrays in ``value``'s nested
+    tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in owners(v)]
+    return [value if value.base is None else value.base] if isinstance(value, np.ndarray) else []
 
 
 class TestBackprop:
@@ -530,6 +565,13 @@ class TestGradCheck:
     def test_one_feature_net(self, activation):
         net = init_network(NetworkArchitecture(1, (4, 1), activation), 5, 1.0)
         assert grad_check(net, np.array([0.75]), 1e-4) <= 1e-6
+
+    def test_a_kink_within_eps_is_skipped(self):
+        # the hidden bias's -eps perturbation turns the one relu unit off, so
+        # its finite difference is no derivative
+        arch = NetworkArchitecture(1, (1,), "relu")
+        net = FeedForwardNet(arch, [np.array([[1.0]]), np.array([[2.0]])], [np.array([5e-5]), np.array([0.0])])
+        assert grad_check(net, np.array([0.0]), 1e-4) <= 1e-6
 
     def test_eps_must_be_positive(self):
         net = make_linear([1.0], 0.0)
