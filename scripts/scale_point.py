@@ -4,9 +4,9 @@ ensemble, at one dataset size and report each stage's wall time and peak RSS.
 Each stage is a child ``python -m selfieboost`` process, and its peak RSS is
 the ``ru_maxrss`` that ``os.wait4`` returns for it.  A first ``baseline``
 stage only imports the package: the interpreter's own RSS.  The last lines
-check both eval stages against the bound "feature matrix + 64 MiB above the
+check every later stage against the bound "feature matrix + 64 MiB above the
 baseline" and name each stage whose exit code is not 0.  The script exits 0
-if every stage exits 0 and both evals are within the bound, 1 otherwise.
+if every stage exits 0 and is within the bound, 1 otherwise.
 Each stage's output goes to ``<stage>.log`` in the work directory; with no
 directory given, a temporary one is used and removed (it holds the dataset
 CSV, about 200 MB at m=1e6).
@@ -71,8 +71,9 @@ def main() -> int:
             if code:
                 failed.append((name, code))
     bound = peaks["baseline"] + args.m * D * 8 / MIB + 64
-    over = [name for name in ("eval", "eval-ens") if peaks[name] > bound]
-    for name in ("eval", "eval-ens"):
+    checked = [name for name, _ in stages[1:]]
+    over = [name for name in checked if peaks[name] > bound]
+    for name in checked:
         print(f"{name} peak {peaks[name]:.1f} MiB is {'OVER' if name in over else 'within'} the bound "
               f"{bound:.1f} MiB (baseline + feature matrix + 64 MiB)")
     for name, code in failed:

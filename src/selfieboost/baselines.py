@@ -43,8 +43,9 @@ _STACK_FLOATS = 2**16
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """A weighted vote of nets.  ``groups`` stacks the members once (:func:`stack_nets`);
-    their arrays are made read-only, so a write raises instead of leaving it stale."""
+    """A weighted vote of at least one net, all of one input width, by finite alphas kept
+    as floats.  ``groups`` stacks the members once (:func:`stack_nets`); their
+    arrays are made read-only, so a write raises instead of leaving it stale."""
 
     members: tuple[FeedForwardNet, ...]
     alphas: tuple[float, ...]
@@ -52,6 +53,14 @@ class EnsembleModel:
     def __post_init__(self):
         if len(self.members) != len(self.alphas):
             raise ValueError("members and alphas must have equal length")
+        if not self.members:
+            raise ModelFormatError("ensemble has no members")
+        for i, a in enumerate(self.alphas):
+            if isinstance(a, bool) or not isinstance(a, (int, float)) or not abs(a) <= sys.float_info.max:
+                raise ModelFormatError(f"alpha {i} must be a finite number, got {a!r}")
+        if len({net.architecture.input_dim for net in self.members}) > 1:
+            raise ShapeError("ensemble members disagree on input dimension")
+        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         for net in self.members:
             for p in net.weights + net.biases:
                 p.flags.writeable = False
@@ -183,10 +192,7 @@ def ensemble_predict_batch(model: EnsembleModel, features: np.ndarray) -> np.nda
     Blocks are sized so that a block of terms and the widest workspace buffer
     together hold at most ``_STACK_FLOATS`` floats unless one row exceeds it.
     """
-    if not model.members:
-        raise ValueError("empty ensemble")
-    for stack, _ in model.groups:
-        features = _check_batch(stack.input_dim, features)  # also when there are no rows
+    features = _check_batch(model.members[0].architecture.input_dim, features)  # also when there are no rows
     alphas, width, m = np.array(model.alphas), len(model.members) + 1, features.shape[0]
     rows = max(1, _STACK_FLOATS // (width + max(stack.row_floats for stack, _ in model.groups)))
     groups = [(stack, positions + 1, alphas[positions], stack.workspace(min(rows, m)))
@@ -249,7 +255,7 @@ def save_ensemble(model: EnsembleModel, path) -> None:
 
 
 def ensemble_from_dict(obj) -> EnsembleModel:
-    """Validate a parsed ensemble file; an ensemble needs at least one member."""
+    """A parsed ensemble file's JSON structure and members; :class:`EnsembleModel` checks the rest."""
     if not isinstance(obj, dict):
         raise ModelFormatError("ensemble file must hold a JSON object")
     version = obj.get("format_version")
@@ -262,20 +268,13 @@ def ensemble_from_dict(obj) -> EnsembleModel:
     members = obj.get("members")
     if not isinstance(alphas, list) or not isinstance(members, list) or len(alphas) != len(members):
         raise ModelFormatError("fields 'alphas' and 'members' must be lists of equal length")
-    if not members:
-        raise ModelFormatError("ensemble has no members")
-    for i, a in enumerate(alphas):
-        if isinstance(a, bool) or not isinstance(a, (int, float)) or not abs(a) <= sys.float_info.max:
-            raise ModelFormatError(f"alpha {i} must be a finite number, got {a!r}")
     nets = []
     for i, member in enumerate(members):
         try:
             nets.append(net_from_dict(member))
         except ModelFormatError as exc:
             raise type(exc)(f"member {i}: {exc}") from exc
-    if len({net.architecture.input_dim for net in nets}) > 1:
-        raise ShapeError("ensemble members disagree on input dimension")
-    return EnsembleModel(members=tuple(nets), alphas=tuple(float(a) for a in alphas))
+    return EnsembleModel(members=tuple(nets), alphas=tuple(alphas))
 
 
 def load_ensemble(path) -> EnsembleModel:

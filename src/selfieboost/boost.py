@@ -310,8 +310,12 @@ def edge(cache: MarginCache, candidate_scores: np.ndarray, rho: float = 0.1) -> 
     """
     candidate = cache_from_scores(candidate_scores, cache.labels)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: edge inf or nan, rejected
-        d = cache.labels * (candidate.raw_scores - cache.raw_scores)
-        terms = cache.probs * (-d + 0.5 * d * d)
+        d = candidate.raw_scores - cache.raw_scores
+        d *= cache.labels
+        terms = 0.5 * d  # in place from here: the bits of probs * (-d + 0.5 * d * d)
+        terms *= d
+        terms -= d
+        terms *= cache.probs
     value = chunked_sum(terms)
     max_diff = float(np.max(d))
     violations = int(np.count_nonzero(d > 1.0))

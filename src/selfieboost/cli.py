@@ -94,7 +94,8 @@ _CONFIG_FLAGS = (
     ("out_model", str, "out_model", None, "where to write the trained model"),
     ("metrics", str, "metrics_path", None, "where to write per-iteration metrics CSV"),
     ("algo", ALGOS, "algo", None, "training algorithm (default selfieboost)"),
-    ("threads", int, "threads", None, "threads for full-dataset sweeps (default 1)"),
+    ("threads", int, "threads", None,
+     "threads for SelfieBoost's full-dataset sweeps; AdaBoost's and plain SGD's run on one (default 1)"),
     ("seed", int, "seed", None, "master seed; all randomness derives from it (default 0)"),
     ("rho", float, "rho", None, "edge threshold in (0, 0.25) (default 0.1)"),
     ("T", int, "T", None, "max boosting iterations (default 50)"),

@@ -176,6 +176,7 @@ def forward_batch(net: FeedForwardNet, x: np.ndarray, threads: int = 1) -> np.nd
     :func:`forward_stacked` scores the net as a one-member stack in
     ``_ROWS``-row blocks; thread ``t`` of ``threads`` scores blocks ``t, t +
     threads, ...`` over a workspace of its own, so no output depends on it.
+    If a thread cannot start, the calling thread scores every block.
     """
     x = _check_batch(net.architecture.input_dim, x)
     ((stack, _),) = stack_nets([net])
@@ -191,10 +192,13 @@ def forward_batch(net: FeedForwardNet, x: np.ndarray, threads: int = 1) -> np.nd
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported here: no other path needs threads
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(score, range(workers)))
-    else:
-        score(0)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(score, range(workers)))
+            return scores
+        except RuntimeError:  # "can't start new thread"; the threads that did start have finished
+            workers = 1
+    score(0)
     return scores
 
 

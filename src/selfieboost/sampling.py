@@ -112,12 +112,14 @@ def weights_from_margins(margins: np.ndarray) -> tuple[np.ndarray, float]:
         raise EmptyDatasetError("cannot weight an empty margin vector")
     if not np.all(np.isfinite(margins)):
         raise NumericError("margins contain non-finite values")
-    neg = -margins
-    hi = float(np.max(neg))
+    weights = -margins  # the one full-length array: each step below writes in place
+    hi = float(np.max(weights))
     with np.errstate(over="ignore"):  # a span beyond the float range gives exp(-inf) = 0
-        unnorm = np.exp(neg - hi)
-    total = chunked_sum(unnorm)
-    return unnorm / total, hi + float(np.log(total))
+        weights -= hi
+        np.exp(weights, out=weights)
+    total = chunked_sum(weights)
+    weights /= total
+    return weights, hi + float(np.log(total))
 
 
 def build_alias(probs: np.ndarray) -> np.ndarray:

@@ -129,9 +129,11 @@ def lemma_suite(trials: int = 100, seed: int = 0) -> SuiteReport:
     """Random network/dataset states: the oracle step must hit edge -1/2 and
     margin shift 1, both within 1e-12, under whatever weights arise.
 
-    Half the trials take scores from actual random networks, half from a
-    realizable teacher whose outputs are clipped to +-1 on the sample (which
-    recovers the labels, since teacher margins are >= 1).
+    Even trials draw a cache of random-normal scores (spread 0.1 to 10) and
+    random labels, and take :func:`oracle_step`.  Odd trials draw a random
+    tanh learner's cache on a realizable dataset and step it by the
+    teacher's outputs clipped to +-1 (which recovers the labels, since
+    teacher margins are >= 1).
     """
     rng = SplitMix64(derive_seed(seed, 13))
     worst = 0.0

@@ -281,8 +281,8 @@ class TestStackedEnsemble:
         with pytest.raises(ShapeError):
             ensemble_predict_batch(model, np.zeros((0, 3)))
         assert ensemble_predict_batch(model, np.zeros((0, 2))).shape == (0,)
-        with pytest.raises(ValueError, match="empty ensemble"):
-            ensemble_predict_batch(EnsembleModel(members=(), alphas=()), np.zeros((1, 2)))
+        with pytest.raises(ModelFormatError, match="^ensemble has no members$"):
+            EnsembleModel(members=(), alphas=())
         with pytest.raises(ValueError, match="equal length"):
             EnsembleModel(members=model.members, alphas=(1.0, 1.0))
 
@@ -416,3 +416,46 @@ class TestEnsembleIO:
         path.write_text('{"format_version": 1, "alphas": [1.0], "members": [{"format_version": 2}]}')
         with pytest.raises(ModelVersionError, match="^member 0: unsupported format_version 2"):
             load_ensemble(path)
+
+
+# finite alphas, the signed zeros and the float range's ends among them
+ALPHAS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.0]))
+
+
+class TestEnsembleChecksItself:
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 8), seed=st.integers(0, 2**32),
+           members=st.lists(st.tuples(st.lists(st.integers(1, 10), max_size=2), st.sampled_from(["tanh", "relu"]),
+                                      ALPHAS), min_size=1, max_size=6))
+    def test_a_saved_ensemble_loads_back_as_itself(self, tmp_path_factory, d, seed, members):
+        nets = [random_member(d, tuple(h), act, seed + j) for j, (h, act, _) in enumerate(members)]
+        model = EnsembleModel(members=tuple(nets), alphas=tuple(a for _, _, a in members))
+        path = tmp_path_factory.mktemp("ens") / "ensemble.json"
+        save_ensemble(model, path)
+        loaded = load_ensemble(path)
+        assert np.array(loaded.alphas).tobytes() == np.array(model.alphas).tobytes()
+        for net, back in zip(model.members, loaded.members, strict=True):
+            assert back.architecture == net.architecture
+            for p, q in zip(net.weights + net.biases, back.weights + back.biases, strict=True):
+                assert q.tobytes() == p.tobytes()
+        x = SplitMix64(seed ^ 0x5A5).normal_block(37 * d).reshape(37, d)
+        assert ensemble_predict_batch(loaded, x).tobytes() == ensemble_predict_batch(model, x).tobytes()
+
+    @pytest.mark.parametrize("members, alphas, error, message", [
+        ((), (), ModelFormatError, "ensemble has no members"),
+        ((linear_net([1.0]),), (math.nan,), ModelFormatError, "alpha 0 must be a finite number, got nan"),
+        ((linear_net([1.0]), linear_net([1.0])), (1.0, True), ModelFormatError,
+         "alpha 1 must be a finite number, got True"),
+        ((linear_net([1.0] * 3), linear_net([1.0] * 4)), (1.0, 1.0), ShapeError,
+         "ensemble members disagree on input dimension"),
+    ], ids=["empty", "nan-alpha", "bool-alpha", "widths-3-and-4"])
+    def test_an_invalid_ensemble_raises_when_it_is_built(self, members, alphas, error, message):
+        # such a model could once be saved to a file that loading refuses
+        with pytest.raises(error) as info:
+            EnsembleModel(members=members, alphas=alphas)
+        assert str(info.value) == message
+
+    def test_integer_alphas_are_kept_as_floats(self):
+        model = EnsembleModel(members=(linear_net([1.0]),), alphas=(2,))
+        assert model.alphas == (2.0,) and type(model.alphas[0]) is float

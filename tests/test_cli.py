@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -168,6 +169,30 @@ class TestTrain:
                      "--hidden", "16", "--sgd-steps", "300", "--batch", "16", "--seed", "3"]) == EXIT_OK
         # the initial net and each candidate are swept once; the final net is not re-scored
         assert rows == [250] * (1 + len(edges))
+        capsys.readouterr()
+
+    def test_a_thread_that_cannot_start_costs_speed_not_the_run(self, tmp_path, monkeypatch, capsys):
+        # more rows than one 1024-row block, so a 2-thread sweep asks for a
+        # second thread; every start fails, and no real thread starts
+        assert main(["gen-data", "--m", "2100", "--d", "3", "--seed", "5", "--out", str(tmp_path / "d.csv"),
+                     "--teacher-out", str(tmp_path / "t.json")]) == EXIT_OK
+        starts = []
+
+        def start(thread):
+            starts.append(thread)
+            raise RuntimeError("can't start new thread")
+
+        def train(threads):
+            model, metrics = tmp_path / f"model{threads}.json", tmp_path / f"metrics{threads}.csv"
+            assert main(["train", "--data", str(tmp_path / "d.csv"), "--out-model", str(model),
+                         "--metrics", str(metrics), "--T", "2", "--hidden", "4", "--sgd-steps", "50",
+                         "--seed", "3", "--threads", threads]) == EXIT_OK
+            return model.read_bytes(), metrics.read_bytes()
+
+        expected = train("1")
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert train("2") == expected
+        assert starts
         capsys.readouterr()
 
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -188,6 +189,22 @@ class TestForwardBatch:
         np.testing.assert_array_equal(
             forward_batch(net, X, threads=threads), forward_batch(net, X, threads=1)
         )
+
+    def test_a_thread_that_cannot_start_leaves_the_calling_thread_to_score(self, monkeypatch):
+        # no real thread starts: each start fails as it does when the
+        # process is out of threads or memory for a stack
+        net = init_network(NetworkArchitecture(5, (13,)), 2, 1.0)
+        X = SplitMix64(4).normal_block((2 * _ROWS + 3) * 5).reshape(2 * _ROWS + 3, 5)
+        expected = forward_batch(net, X, threads=1).tobytes()
+        starts = []
+
+        def start(thread):
+            starts.append(thread)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert forward_batch(net, X, threads=2).tobytes() == expected
+        assert len(starts) == 1
 
     def test_sweep_memory_is_bounded_by_one_block(self):
         net = init_network(NetworkArchitecture(10, (32,)), 3, 1.0)

@@ -156,6 +156,30 @@ class TestWeightsFromMargins:
         assert abs(chunked_sum(probs) - 1.0) <= 1e-12
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
+    @pytest.mark.parametrize("case", ["m=1", "m=1025", "span-past-the-float-range"])
+    def test_equals_the_out_of_place_formula_and_leaves_its_argument(self, case):
+        # the weights are built in place in one new array; the bits are those
+        # of exp(-margins - hi) / total, here on planted +0 and -0 margins and
+        # on a span whose far end underflows exp to 0
+        rng = SplitMix64(23)
+        m = 1 if case == "m=1" else 1025
+        u = rng.uniform_block(m)
+        margins = np.where(u < 0.1, 0.0, np.where(u > 0.9, -0.0, rng.normal_block(m) * 20))
+        if case == "span-past-the-float-range":
+            margins[::7], margins[3::7] = 1e308, -1e308
+        before = margins.copy()
+        weights, potential = weights_from_margins(margins)
+        assert margins.tobytes() == before.tobytes()
+        neg = -before
+        hi = float(np.max(neg))
+        with np.errstate(over="ignore"):
+            unnorm = np.exp(neg - hi)
+        total = chunked_sum(unnorm)
+        assert weights.tobytes() == (unnorm / total).tobytes()
+        assert potential == hi + float(np.log(total))
+        if case == "span-past-the-float-range":
+            assert np.count_nonzero(weights == 0.0) > 0
+
     def test_errors(self):
         with pytest.raises(EmptyDatasetError):
             weights_from_margins(np.array([]))

@@ -30,7 +30,9 @@ def test_scale_point_script_runs_every_stage_within_the_bound(tmp_path):
     assert [line.split()[:2] for line in lines[1:7]] == [
         [stage, "exit=0"] for stage in ("baseline", "gen-data", "train", "eval", "train-ada", "eval-ens")
     ]
-    assert [line.split()[0] for line in lines[7:] if "is within the bound" in line] == ["eval", "eval-ens"]
+    assert [line.split()[0] for line in lines[7:] if "is within the bound" in line] == [
+        "gen-data", "train", "eval", "train-ada", "eval-ens"
+    ]
 
 
 def test_scale_point_script_fails_when_its_stages_fail(tmp_path):
