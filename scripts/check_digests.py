@@ -3,9 +3,10 @@
 Each command's exit code, stdout and stderr go to ``<name>.log`` in the work
 directory and are digested with the model, metrics and data files, so two
 checkouts that print the same lines behave byte-identically on this set.
-Two datasets of 4000 rows are split in halves first; models trained on the
-first 2000 rows of one are evaluated on the rest, the trainers' held-out
-error.  Two reformatted copies of ``data.csv`` are evaluated as well, one
+Each model or teacher file a command writes is then evaluated on the data
+that command names.  Two datasets of 4000 rows are split in halves first;
+models trained on the first 2000 rows of one are evaluated on the rest, the
+trainers' held-out error.  Two reformatted copies of ``data.csv`` are evaluated as well, one
 read by numpy's reader and one by the row parser, and must print the same
 line.
 Last come the bound suite on ``metrics.csv`` with two rows swapped (exit 1),
@@ -162,20 +163,20 @@ COMMANDS = (
                  f"{README_TRAIN} --hidden 32,32,32 --activation relu"),
 )
 
-EVALS = (
-    ("teacher.json", "data.csv"), ("model.json", "data.csv"), ("sgd.json", "data.csv"),
-    ("widen.json", "data.csv"), ("relu.json", "data.csv"), ("teacher8.json", "data8.csv"),
-    ("ens8.json", "data8.csv"), ("numteacher.json", "numdata.csv"), ("num.json", "numdata.csv"),
-    ("teacher130.json", "data130.csv"), ("wide130.json", "data130.csv"), ("teacher09.json", "data09.csv"),
-    ("ens2.json", "data.csv"), ("lrzero.json", "lrzerodata.csv"), ("lin.json", "data.csv"),
-    ("linsgd.json", "data.csv"), ("adalin.json", "data.csv"), ("batch1.json", "data.csv"),
-    ("bigbatch.json", "data.csv"), ("teacher1.json", "data1.csv"), ("lin1.json", "data1.csv"),
-    ("linsgd1.json", "data1.csv"), ("one1.json", "data1.csv"), ("stall.json", "data.csv"),
-    ("growone.json", "data.csv"), ("growbig.json", "data.csv"), ("growbig16.json", "data.csv"),
-    ("lrzeroteacher.json", "lrzerodata.csv"), ("teacherrelu.json", "datarelu.csv"),
-    ("relusb.json", "reluheld.csv"), ("relusgd.json", "reluheld.csv"), ("reluada.json", "reluheld.csv"),
-    ("teacher4k.json", "data4k.csv"), ("deeptanh.json", "deepheld.csv"), ("deeprelu.json", "deepheld.csv"),
-)
+def evals() -> list[tuple[str, str]]:
+    """The (model, data) pairs that ``SPLIT_COMMANDS`` and ``COMMANDS`` imply:
+    each ``--teacher-out`` on its command's ``--out``, each ``--out-model`` on
+    its ``--data``, or on the rest when that is a first half in ``HALVES``."""
+    rest = {first: held for _, first, held in HALVES}
+    pairs = []
+    for _, command in (*SPLIT_COMMANDS, *COMMANDS):
+        words = command.split()
+        option = dict(zip(words, words[1:]))
+        if "--teacher-out" in option:
+            pairs.append((option["--teacher-out"], option["--out"]))
+        if "--out-model" in option:
+            pairs.append((option["--out-model"], rest.get(option["--data"], option["--data"])))
+    return pairs
 
 
 def write_odd_copies(workdir: Path) -> None:
@@ -260,8 +261,9 @@ def main() -> int:
     write_halves(workdir)
     for name, command in COMMANDS:
         run(workdir, name, command.split())
-    for model, data in EVALS:
-        run(workdir, f"eval-{Path(model).stem}", ["eval", "--model", model, "--data", data])
+    for model, data in evals():
+        if (workdir / model).exists():  # an exit 3, 5 or 64 writes none
+            run(workdir, f"eval-{Path(model).stem}", ["eval", "--model", model, "--data", data])
     write_odd_copies(workdir)
     for data in ("odd.csv", "odd_us.csv"):
         run(workdir, f"eval-{Path(data).stem}", ["eval", "--model", "model.json", "--data", data])

@@ -40,7 +40,6 @@ from .nnet import (
     init_network,
     load_model,
     save_model,
-    sgd_step,
     widen,
 )
 from .sampling import (

@@ -199,12 +199,13 @@ def ensemble_predict_batch(model: EnsembleModel, features: np.ndarray) -> np.nda
               for stack, positions in model.groups]
     terms = np.zeros((width, max(2, min(rows, m))))
     preds = np.empty(m)
-    for k in range(0, m, rows):
-        block = features[k : k + rows]
-        n = block.shape[0]
-        for stack, members, alpha, buffers in groups:
-            terms[members, :n] = np.where(forward_stacked(stack, block, buffers) > 0.0, alpha, -alpha).T
-        preds[k : k + n] = _vote_sum_sign(np.add.reduce(terms[:, : max(n, 2)], axis=0)[:n])
+    with np.errstate(all="ignore"):  # the kernel's mode: a total beyond the float range is ±inf
+        for k in range(0, m, rows):
+            block = features[k : k + rows]
+            n = block.shape[0]
+            for stack, members, alpha, buffers in groups:
+                terms[members, :n] = np.where(forward_stacked(stack, block, buffers) > 0.0, alpha, -alpha).T
+            preds[k : k + n] = _vote_sum_sign(np.add.reduce(terms[:, : max(n, 2)], axis=0)[:n])
     return preds
 
 
@@ -217,7 +218,7 @@ def cost(model: EnsembleModel) -> CostReport:
     """Every member must be evaluated for each prediction."""
     return CostReport(
         network_evals_per_prediction=len(model.members),
-        total_params_evaluated=sum(member.param_count for member in model.members),
+        total_params_evaluated=sum(member.architecture.param_count for member in model.members),
     )
 
 

@@ -294,7 +294,7 @@ def cmd_eval(args) -> int:
     print(
         f"err={_fmt(cache.mistakes / dataset.m)} mistakes={cache.mistakes} "
         f"potential={_fmt(cache.potential)} evals_per_prediction=1 "
-        f"params_evaluated={model.param_count}"
+        f"params_evaluated={model.architecture.param_count}"
     )
     return EXIT_OK
 

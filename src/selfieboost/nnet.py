@@ -128,10 +128,6 @@ class FeedForwardNet:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise NumericError(f"layer {i} has non-finite parameters")
 
-    @property
-    def param_count(self) -> int:
-        return self.architecture.param_count
-
     def copy(self) -> "FeedForwardNet":
         return FeedForwardNet(
             architecture=self.architecture,

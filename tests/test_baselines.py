@@ -155,6 +155,18 @@ class TestScoringNeverWarns:
             votes = ensemble_predict_batch(model, x)
         assert np.all(scores == math.inf) and np.all(votes == 1.0)
 
+    def test_a_vote_total_beyond_the_float_range_is_silent(self):
+        # 1e308 + 1e308 overflows in the sum down the member axis, which runs
+        # in the kernel's mode too; the votes keep the per-member loop's bits
+        model = EnsembleModel(members=(linear_net([1.0]),) * 4, alphas=(1e308, 1e308, -1e308, -1e308))
+        x = np.array([[1.0], [-1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            votes = ensemble_predict_batch(model, x)
+        with np.errstate(all="ignore"):
+            assert votes.tobytes() == oracle_predict(model, x).tobytes()
+        assert votes.tolist() == [1.0, -1.0]
+
     def test_adaboost_on_a_row_with_a_1e308_feature(self):
         # check_digests.py's ovfdata.csv: a member's score on the first row
         # overflows in the round's sweep

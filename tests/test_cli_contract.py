@@ -1,13 +1,14 @@
 """The CLI contract: every option means the same as a flag and in a config
-file, metrics files read back exactly, each exit-code row is reachable
-through ``main``, and the README's config example is accepted."""
+file, each default that ``train --help`` names is the config's, metrics files
+read back exactly, each exit-code row is reachable through ``main``, and the
+README's config example is accepted."""
 
 import json
 import re
 from pathlib import Path
 
 from selfieboost.boost import BoostConfig, SgdParams, run_selfieboost
-from selfieboost.cli import _CONFIG_FLAGS, EXIT_BREAK, EXIT_OK, main, read_metrics_csv
+from selfieboost.cli import _CONFIG_FLAGS, EXIT_BREAK, EXIT_OK, ExperimentConfig, main, read_metrics_csv
 from selfieboost.data import load_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -64,6 +65,37 @@ def test_every_option_means_the_same_as_flag_and_in_config(tmp_path, capsys):
         flag_bytes = (tmp_path / f"flag{suffix}").read_bytes()
         assert flag_bytes == (tmp_path / f"file{suffix}").read_bytes()
     assert len(read_metrics_csv(tmp_path / "flag.csv")) >= 1
+
+
+def test_every_help_default_is_the_config_default(capsys):
+    # each "(default ...)" of train --help, read from the printed help, is
+    # the field default of the config that the option sets
+    assert main(["train", "--help"]) == EXIT_OK
+    entries = re.split(r"\n(?=  -)", capsys.readouterr().out.split("options:\n", 1)[1])
+    helped = {}
+    for entry in entries:
+        found = re.search(r"\(default ([^)]*)\)$", " ".join(entry.split()))
+        if found:
+            helped[entry.split()[0][2:].replace("-", "_")] = found.group(1)
+    assert sorted(helped) == sorted(row[0] for row in _CONFIG_FLAGS if "(default " in row[4])
+    run = ExperimentConfig(data_path="data.csv", boost=BoostConfig())
+    for dest, _, key, section, _ in _CONFIG_FLAGS:
+        if dest not in helped:
+            continue
+        if section:
+            owner = getattr(run.boost, section)
+        else:
+            owner = run if hasattr(run, key) else run.boost
+        default, text = getattr(owner, key), helped[dest]
+        if dest == "n":  # None: the working-set size is min(m, cap)
+            cap = int(text.split(",")[0])
+            assert text == f"{cap}, or m if smaller"
+            assert [run.boost.working_set_size(m) for m in (1, cap - 1, cap, cap + 1, 10 * cap)] == [
+                1, cap - 1, cap, cap, cap]
+        elif dest == "hidden":
+            assert tuple(int(w) for w in text.split(",")) == default
+        else:
+            assert type(default)(text) == default, (dest, text, default)
 
 
 def test_metrics_file_reads_back_as_the_run_records(tmp_path, capsys):

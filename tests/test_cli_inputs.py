@@ -1,11 +1,14 @@
-"""Malformed inputs end with their documented exit code and one ``error:`` line,
-and the bound suite reads the initial potential from the metrics file and
-fails records that do not chain."""
+"""Malformed inputs, and stages that run out of address space, end with their
+documented exit code and one ``error:`` line, and the bound suite reads the
+initial potential from the metrics file and fails records that do not chain."""
 
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from selfieboost.cli import (
     EXIT_BREAK, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, METRICS_HEADER, main,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 TINY_CSV = "f0,f1,label\n0.5,1.0,1\n-0.5,-1.0,-1\n1.5,0.25,1\n"
 
 
@@ -438,3 +442,51 @@ def test_an_allocation_beyond_memory_is_usage_error(tmp_path, capsys, monkeypatc
     assert_one_error_line(err)
     assert err.startswith(f"error: {named}: ") and text in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+MIB = 2**20
+LIMITED_STAGES = {
+    "train": ["train", "--data", "data.csv", "--out-model", "model.json", "--T", "3"],
+    "train-threads-2": ["train", "--data", "data.csv", "--out-model", "model.json", "--T", "3", "--threads", "2"],
+    "eval": ["eval", "--model", "teacher.json", "--data", "data.csv"],
+    "train-adaboost": ["train", "--algo", "adaboost", "--data", "data.csv", "--out-model", "ensemble.json",
+                       "--T", "3", "--hidden", "2"],
+    "compare": ["compare", "--data", "data.csv", "--T", "2"],
+}
+
+
+@pytest.fixture(scope="module")
+def import_floor(tmp_path_factory):
+    """A directory holding an m=1e5, d=10 dataset and its teacher, written
+    without a limit, and the address space in bytes that a child peaks at
+    after importing the CLI."""
+    workdir = tmp_path_factory.mktemp("limited")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-m", "selfieboost", "gen-data", "--m", "100000", "--d", "10", "--seed", "42",
+                    "--out", "data.csv", "--teacher-out", "teacher.json"],
+                   cwd=workdir, env=env, capture_output=True, check=True)
+    peak = subprocess.run(
+        [sys.executable, "-c", "import selfieboost.cli\n"
+         "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmPeak:')))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return workdir, env, int(peak.stdout) * 1024  # VmPeak is in kB
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmPeak from /proc")
+@pytest.mark.parametrize("margin_mib", [8, 32])
+@pytest.mark.parametrize("stage", LIMITED_STAGES)
+def test_a_stage_under_an_address_space_limit_ends_cleanly(import_floor, stage, margin_mib):
+    # a few MiB above the import floor an array allocation fails (exit 64),
+    # and a pool thread that cannot start leaves its blocks to the calling thread
+    workdir, env, floor = import_floor
+    limit = floor + margin_mib * MIB
+    proc = subprocess.run(
+        [sys.executable, "-m", "selfieboost", *LIMITED_STAGES[stage]], cwd=workdir, env=env,
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode in (EXIT_OK, EXIT_USAGE), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == EXIT_USAGE:
+        assert_one_error_line(proc.stderr)

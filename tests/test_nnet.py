@@ -661,7 +661,7 @@ class TestWiden:
         net = init_network(NetworkArchitecture(10, (32,)), 7, 1.0)
         wide = widen(net, 8, seed=99)
         fan_in = 10
-        assert wide.param_count - net.param_count == 8 * (fan_in + 1) + 8
+        assert wide.architecture.param_count - net.architecture.param_count == 8 * (fan_in + 1) + 8
         assert wide.architecture.hidden_layers == (40,)
 
     def test_widen_twice_different_seeds(self):
